@@ -81,11 +81,10 @@ def build_record(
     with_terms: bool = False,
 ) -> OutputRecord:
     """Evaluate one grid point into an :class:`OutputRecord`."""
-    if molecule_size > 1:
-        partition = monogamy.MoleculePartition(molecule_size, n_kept)
-        monogamy.molecular_residual(
-            partition, n_traced, r_bar, min_precision=min_precision
-        )  # validates the coarse-graining; value comes via the sum below
+    if molecule_size != 1:
+        # molecules of any size leave the residual of as many unit modes
+        # unchanged (the ``scale`` suite checks it); only validate the grouping
+        monogamy.MoleculePartition(molecule_size, n_kept)
     residual = residual_sum(n_kept, n_traced, r_bar, min_precision=min_precision)
     fidelity = (
         teleportation.fidelity_from_squeezing(n_kept, r_bar)

@@ -8,6 +8,7 @@ precision rules govern the extended-precision kernels in
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 
@@ -16,11 +17,15 @@ __all__ = [
     "TOL",
     "PRECISION_FLOOR",
     "PRECISION_MARGIN",
+    "DOUBLE_BITS",
+    "GUARD_BITS",
+    "JUMP_SLACK",
     "MAX_PRECISION",
     "ENV_PRECISION",
     "ENV_BACKEND",
     "default_min_precision",
     "starting_precision",
+    "required_bits",
 ]
 
 
@@ -58,14 +63,30 @@ TOL = Tolerances()
 
 #: never evaluate an alternating sum below this many bits
 PRECISION_FLOOR = 64
-#: extra bits on top of the party count (the binomial coefficients of an
-#: N-term alternating sum can cancel roughly N bits)
-PRECISION_MARGIN = 64
+#: extra bits on top of the term count at the first pass (the binomial
+#: coefficients of an N-term alternating sum cancel up to about N bits;
+#: spare bits are nearly free at low precision and spare most small sums
+#: a second pass)
+PRECISION_MARGIN = 96
+#: bits of a double's significand: every accepted sum carries this many
+DOUBLE_BITS = 53
+#: bits kept beyond the summation error bound before a pass is accepted
+GUARD_BITS = 4
+#: slack added when jumping to the precision a pass showed is needed
+JUMP_SLACK = 8
 #: escalation gives up here; reaching it means the request is absurd
 MAX_PRECISION = 1 << 22
 
 ENV_PRECISION = "CONTANGLE_PRECISION_BITS"
 ENV_BACKEND = "CONTANGLE_BACKEND"
+
+
+def _checked_precision(value, source: str) -> int:
+    """A requested minimum precision: at least 2 bits, capped at the maximum."""
+    value = operator.index(value)
+    if value < 2:
+        raise ValueError(f"{source} must be >= 2, got {value}")
+    return min(value, MAX_PRECISION)
 
 
 def default_min_precision() -> int:
@@ -84,12 +105,29 @@ def default_min_precision() -> int:
         raise ValueError(
             f"{ENV_PRECISION} must be an integer, got {raw!r}"
         ) from exc
-    if value < 2:
-        raise ValueError(f"{ENV_PRECISION} must be >= 2, got {value}")
-    return min(value, MAX_PRECISION)
+    return _checked_precision(value, ENV_PRECISION)
 
 
 def starting_precision(n_terms: int, min_precision: int | None = None) -> int:
-    """Initial working precision for an alternating sum with *n_terms* terms."""
-    floor = default_min_precision() if min_precision is None else min_precision
+    """Initial working precision for an alternating sum with *n_terms* terms.
+
+    An explicit *min_precision* (``--precision-bits`` on the command line)
+    replaces the environment floor; it is validated and capped the same way.
+    """
+    if min_precision is None:
+        floor = default_min_precision()
+    else:
+        floor = _checked_precision(min_precision, "min_precision")
     return max(PRECISION_FLOOR, n_terms + PRECISION_MARGIN, floor)
+
+
+def required_bits(n_terms: int) -> int:
+    """Bits that must survive cancellation before a pass is accepted.
+
+    Recursive summation of N terms errs by at most ``gamma_N * sum |t_j|``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4),
+    which is below ``N**2 * 2**(max_exp2 - prec)``.  Keeping a double's 53
+    bits above that bound, plus guard bits, makes the rounded double exact
+    up to ties closer than ``2**-GUARD_BITS`` ulp.
+    """
+    return DOUBLE_BITS + 2 * n_terms.bit_length() + GUARD_BITS

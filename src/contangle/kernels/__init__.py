@@ -7,9 +7,13 @@ squeezing the surviving value can lie far below the double-precision
 range.  The kernels therefore:
 
 * evaluate in arbitrary-precision arithmetic, starting at roughly
-  ``N + 64`` bits and doubling whenever more than half the working bits
-  cancelled (detected by comparing the exponents of the largest term and
-  of the sum);
+  ``N + 96`` bits, and accept a pass once the bits that survive the
+  cancellation (the sum's exponent minus the largest term's, plus the
+  working precision) cover a double plus the summation error bound of
+  :func:`contangle.config.required_bits`.  A pass that falls short but
+  still shows real leading bits says how many are missing, and the next
+  pass adds exactly those plus a little slack; a pass with no real bits
+  doubles the precision;
 * report results as :class:`SumResult`, which carries the nearest double
   *and* an exponent-exact ``mantissa * 2**exp2`` view, so magnitudes below
   the double range stay ordered and printable.
@@ -143,18 +147,26 @@ def compare(x: SumResult, y: SumResult) -> int:
 
 def _escalate(evaluate, n_terms: int, min_precision: int | None) -> SumResult:
     prec = config.starting_precision(n_terms, min_precision)
+    need = config.required_bits(n_terms)
     while True:
         value, mantissa, exp2, max_exp2, any_term = evaluate(prec)
         if not any_term:
             return SumResult(0.0, 0.0, 0, prec)
-        if mantissa != 0.0 and exp2 >= max_exp2 - prec // 2:
+        survived = exp2 - (max_exp2 - prec)
+        if mantissa != 0.0 and survived >= need:
             return SumResult(value, mantissa, exp2, prec)
         if prec >= config.MAX_PRECISION:
             raise ArithmeticError(
-                f"cancellation still exceeds half the working bits at "
+                f"cancellation still leaves fewer than {need} bits at "
                 f"{prec} bits; giving up"
             )
-        prec = min(2 * prec, config.MAX_PRECISION)
+        if mantissa != 0.0 and survived >= n_terms.bit_length() + config.JUMP_SLACK:
+            # the leading bits are real, so the cancellation is known:
+            # add just the missing bits
+            prec += need - survived + config.JUMP_SLACK
+        else:  # the sum is rounding noise: nothing is known, double
+            prec *= 2
+        prec = min(prec, config.MAX_PRECISION)
 
 
 def residual_sum(

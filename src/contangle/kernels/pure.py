@@ -20,6 +20,20 @@ from mpmath import mp
 __all__ = ["eval_residual", "eval_comparison"]
 
 
+def _mantissa_exp2(x) -> tuple[float, int]:
+    """``x`` rounded to a double, as ``(mantissa, exp2)`` with the mantissa
+    in ``[0.5, 1)`` up to sign, like MPFR's ``mpfr_get_d_2exp``.
+
+    Just below a power of two the mantissa rounds up to 1.0; it is then
+    renormalized into the next binade.
+    """
+    mantissa, exp2 = mpmath.frexp(x)
+    mantissa, exp2 = float(mantissa), int(exp2)
+    if abs(mantissa) == 1.0:
+        mantissa, exp2 = mantissa / 2, exp2 + 1
+    return mantissa, exp2
+
+
 def eval_residual(n_kept: int, n_traced: int, r_bar: float, prec: int):
     """One pass of the alternating binomial contangle sum at ``prec`` bits.
 
@@ -45,8 +59,7 @@ def eval_residual(n_kept: int, n_traced: int, r_bar: float, prec: int):
                 max_exp2 = mag
             total = total + term if j % 2 == 0 else total - term
             binom = binom * (n_kept - 1 - j) // (j + 1)
-        mantissa, exp2 = mpmath.frexp(total)
-        return (float(total), float(mantissa), int(exp2), max_exp2, True)
+        return (float(total), *_mantissa_exp2(total), max_exp2, True)
 
 
 def eval_comparison(n_parties: int, a: float, b: float, c: float, prec: int):
@@ -77,5 +90,4 @@ def eval_comparison(n_parties: int, a: float, b: float, c: float, prec: int):
                 binom = binom * (n1 - j) // (j + 1)
         if not any_term:
             return (0.0, 0.0, 0, 0, False)
-        mantissa, exp2 = mpmath.frexp(total)
-        return (float(total), float(mantissa), int(exp2), max_exp2, True)
+        return (float(total), *_mantissa_exp2(total), max_exp2, True)

@@ -63,6 +63,41 @@ def test_residual_molecule_size_does_not_change_value():
     assert grouped.output == plain.output
 
 
+def test_residual_molecule_query_evaluates_once(monkeypatch):
+    from contangle import cli, monogamy
+
+    calls = []
+    evaluate = cli.residual_sum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "residual_sum", counting)
+    monkeypatch.setattr(monogamy, "residual_sum", counting)
+    grouped = run("residual", "--n", "4", "--m", "1", "--rbar", "0.9", "--molecule-size", "3")
+    assert grouped.exit_code == 0
+    assert calls == [(4, 1, 0.9)]
+
+
+def test_residual_huge_squeezing_does_not_overflow():
+    result = run("residual", "--n", "3", "--rbar", "300", "--format", "json")
+    assert result.exit_code == 0
+    rec = json.loads(result.output)[0]
+    assert rec["fidelity"] == 1.0
+    assert rec["residual"] > 0
+
+
+def test_precision_bits_are_validated():
+    for bits in ("1", "0", "-5"):
+        result = run("residual", "--n", "3", "--rbar", "0.5", "--precision-bits", bits)
+        assert result.exit_code == 2
+        assert "min_precision must be >= 2" in result.output
+    plain = run("residual", "--n", "3", "--rbar", "0.5")
+    raised = run("residual", "--n", "3", "--rbar", "0.5", "--precision-bits", "512")
+    assert raised.exit_code == 0 and raised.output == plain.output
+
+
 def test_residual_usage_errors():
     assert run("residual", "--n", "3").exit_code == 2  # no squeezing given
     assert (
@@ -71,6 +106,10 @@ def test_residual_usage_errors():
     assert run("residual", "--n", "0", "--rbar", "0.5").exit_code == 2
     assert (
         run("residual", "--n", "1", "--rbar", "0.5", "--molecule-size", "2").exit_code
+        == 2
+    )
+    assert (
+        run("residual", "--n", "3", "--rbar", "0.5", "--molecule-size", "0").exit_code
         == 2
     )
 

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from contangle import config, kernels
 from contangle.kernels import SumResult, compare, comparison_sum, pure, residual_sum
 
-_native = pytest.importorskip(
-    "contangle.kernels._sumcore", reason="compiled kernel not built"
-)
+
+def _native():
+    return pytest.importorskip(
+        "contangle.kernels._sumcore", reason="compiled kernel not built"
+    )
 
 
 # Frozen references: term-by-term mpmath evaluations, 60 significant
@@ -57,18 +62,63 @@ def test_sub_double_magnitudes_survive():
     assert math.isclose(result.magnitude_log2(), -1136 * math.log2(10), rel_tol=1e-2)
 
 
-def test_escalation_raises_precision_only_when_needed():
-    # mild cancellation: the starting precision is enough
-    shallow = residual_sum(10, 0, 0.8)
-    assert shallow.precision == config.starting_precision(10)
-    # a hundred modes cancel ~C(99,49) ~ 2^95 regardless of squeezing,
-    # blowing the half-precision headroom once
-    moderate = residual_sum(100, 0, 2.0)
-    assert moderate.precision == 2 * config.starting_precision(100)
-    # tiny squeezing stacks analytic smallness on top of that
-    deep = residual_sum(100, 0, 0.05)
-    assert deep.precision > 4 * config.starting_precision(100)
-    assert deep.value == pytest.approx(1.0362973876795e-114, rel=1e-11)
+def _record_passes(monkeypatch):
+    """Log ``(precision, surviving bits)`` of every residual pass."""
+    passes = []
+    evaluate = kernels._BACKEND.eval_residual
+
+    def recording(n_kept, n_traced, r_bar, prec):
+        out = evaluate(n_kept, n_traced, r_bar, prec)
+        _, _, exp2, max_exp2, _ = out
+        passes.append((prec, exp2 - (max_exp2 - prec)))
+        return out
+
+    monkeypatch.setattr(kernels._BACKEND, "eval_residual", recording)
+    return passes
+
+
+@pytest.mark.parametrize(
+    "n,r,expected,jumps",
+    [
+        (10, 0.8, 0.30806517901432, None),  # mild cancellation: one pass
+        (100, 2.0, 3.0818026051983, None),  # ~2^95 cancels within the margin
+        (500, 1.15, 1.88901251291e-13, True),  # short by a few bits: one jump
+        (1000, 1.15, 6.13969489979e-26, True),
+        (100, 0.05, 1.0362973876795e-114, False),  # noise first: doubling
+    ],
+)
+def test_escalation_raises_precision_only_when_needed(
+    monkeypatch, n, r, expected, jumps
+):
+    passes = _record_passes(monkeypatch)
+    result = residual_sum(n, 0, r)
+    assert result.value == pytest.approx(expected, rel=1e-11)
+    need = config.required_bits(n)
+    assert passes[0][0] == config.starting_precision(n)
+    assert passes[-1][0] == result.precision
+    assert passes[-1][1] >= need  # accepted on the error bound
+    # every rejected pass fell short, and the next precision follows the rule
+    for (prec, survived), (next_prec, _) in zip(passes, passes[1:]):
+        assert survived < need
+        if survived >= n.bit_length() + config.JUMP_SLACK:
+            assert next_prec == prec + need - survived + config.JUMP_SLACK
+        else:
+            assert next_prec == 2 * prec
+    if jumps is None:
+        assert len(passes) == 1
+    elif jumps:
+        # the final precision is the bound plus at most one jump's slack
+        cancelled = result.precision - passes[-1][1]
+        assert result.precision <= cancelled + need + config.JUMP_SLACK
+    else:
+        assert len(passes) > 2
+
+
+def test_error_bound_gives_the_nearest_double():
+    # the half-bits rule accepted this at 72 bits with ~33 bits left;
+    # reference 1.275744375752709765e-10
+    result = residual_sum(8, 7, 0.0809)
+    assert result.value == 1.2757443757527098e-10
 
 
 def test_min_precision_floor_is_respected():
@@ -83,6 +133,20 @@ def test_environment_floor(monkeypatch):
     monkeypatch.setenv(config.ENV_PRECISION, "not-a-number")
     with pytest.raises(ValueError):
         config.starting_precision(3)
+
+
+@pytest.mark.parametrize("bits", [1, 0, -64])
+def test_explicit_min_precision_is_validated(bits):
+    with pytest.raises(ValueError):
+        config.starting_precision(3, bits)
+    with pytest.raises(ValueError):
+        residual_sum(3, 0, 0.5, min_precision=bits)
+
+
+def test_explicit_min_precision_is_capped(monkeypatch):
+    assert config.starting_precision(3, 10**9) == config.MAX_PRECISION
+    monkeypatch.setenv(config.ENV_PRECISION, str(10**9))
+    assert config.starting_precision(3) == config.MAX_PRECISION
 
 
 def test_validation():
@@ -102,14 +166,16 @@ def test_validation():
     "n,m,r", [(2, 0, 0.37), (3, 0, 0.5), (50, 3, 0.8), (200, 0, 0.4)]
 )
 def test_backends_agree_bit_for_bit(n, m, r):
+    native = _native()
     prec = config.starting_precision(n)
-    assert pure.eval_residual(n, m, r, prec) == _native.eval_residual(n, m, r, prec)
+    assert pure.eval_residual(n, m, r, prec) == native.eval_residual(n, m, r, prec)
 
 
 def test_comparison_backends_agree():
+    native = _native()
     for n, a, b, c in [(2, 1.0, 1.0, 2.0), (30, 1.0, 0.5, 2.0), (30, 2.0, 1.0, 1.0)]:
         prec = config.starting_precision(n)
-        assert pure.eval_comparison(n, a, b, c, prec) == _native.eval_comparison(
+        assert pure.eval_comparison(n, a, b, c, prec) == native.eval_comparison(
             n, a, b, c, prec
         )
 
@@ -118,10 +184,37 @@ def test_backend_resolution():
     module, name = kernels._resolve("")
     assert name in ("native", "python")
     assert kernels._resolve("python") == (pure, "python")
-    assert kernels._resolve("native") == (_native, "native")
     with pytest.raises(ValueError):
         kernels._resolve("bogus")
     assert kernels.backend_name() in kernels.available_backends()
+
+
+def test_native_backend_resolution():
+    native = _native()
+    assert kernels._resolve("native") == (native, "native")
+
+
+@given(
+    binade=st.integers(min_value=-300, max_value=300),
+    gap=st.integers(min_value=1, max_value=200),
+)
+def test_pure_mantissa_stays_below_one(binade, gap):
+    # 2**binade * (1 - 2**-gap) rounds to 2**binade once gap > 53
+    with mpmath.mp.workprec(256):
+        x = mpmath.ldexp(1 - mpmath.ldexp(1, -gap), binade)
+    mantissa, exp2 = pure._mantissa_exp2(x)
+    assert 0.5 <= mantissa < 1.0
+    assert math.ldexp(mantissa, exp2) == float(x)
+    mantissa, exp2 = pure._mantissa_exp2(-x)
+    assert -1.0 < mantissa <= -0.5
+    assert math.ldexp(mantissa, exp2) == -float(x)
+
+
+def test_pure_mantissa_at_a_power_of_two():
+    # 1 / (1 + 2**-60) is the comparison sum's only term at n = 2, a = 0
+    _, mantissa, exp2, _, _ = pure.eval_comparison(2, 0.0, 2.0**-60, 1.0, 128)
+    assert (mantissa, exp2) == (0.5, 1)
+    assert comparison_sum(2, 0.0, 2.0**-60, 1.0).value == 1.0
 
 
 COMPARISON_CASES = [

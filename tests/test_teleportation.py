@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,16 @@ def test_fidelity_domain_errors():
         fidelity_from_squeezing(1, 0.5)
     with pytest.raises(ValueError):
         fidelity_from_squeezing(3, -0.1)
+
+
+def test_fidelity_beyond_the_exponential_range():
+    # e**(4 r) overflows a double above r ~ 177; the fidelity does not
+    assert fidelity_from_squeezing(3, 300.0) == 1.0
+    n, r = 10**300, 180.0
+    with mpmath.workdps(50):
+        boosted = n + 2 * mpmath.expm1(4 * mpmath.mpf(r))
+        expected = 1 / (1 + mpmath.sqrt(n / boosted))
+    assert fidelity_from_squeezing(n, r) == pytest.approx(float(expected), rel=1e-14)
 
 
 def test_residual_from_fidelity_connects_the_two_quantities():
