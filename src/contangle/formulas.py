@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -120,7 +121,14 @@ def bipartite_contangle(n_block: int, n_total: int, r_bar: float) -> ContangleVa
     r_bar = _check_r_bar(r_bar)
     decay = math.exp(-4.0 * r_bar)
     num = math.sqrt(k) * -math.expm1(-4.0 * r_bar)
-    den = math.sqrt(n) * math.sqrt((n - 1 - k) + decay * (k + 1))
+    rest = n - 1 - k
+    if rest == 0 and decay < sys.float_info.min:
+        # e**(-4 r) has left the normal range, so den = n * e**(-2 r) is
+        # inexact or zero; the ratio is then far above 2**27, where
+        # asinh(x) = ln(2 x) to double precision
+        log_2x = math.log(2.0 * num / n) + 2.0 * r_bar
+        return log_2x * log_2x
+    den = math.sqrt(n) * math.sqrt(rest + decay * (k + 1))
     return asinh_sq(num / den)
 
 
@@ -145,9 +153,4 @@ def decomposition_term(
         raise ValueError(f"traced mode count must be >= 0, got {m}")
     if not 0 <= j <= n - 2:
         raise ValueError(f"term index must satisfy 0 <= j <= {n - 2}, got {j}")
-    r_bar = _check_r_bar(r_bar)
-    total = n + m
-    decay = math.exp(-4.0 * r_bar)
-    num = math.sqrt(n - 1 - j) * -math.expm1(-4.0 * r_bar)
-    den = math.sqrt(total) * math.sqrt((j + m) + decay * (n - j))
-    return asinh_sq(num / den)
+    return bipartite_contangle(n - 1 - j, n + m, r_bar)

@@ -6,14 +6,20 @@ thousand the cancellation eats close to a thousand bits, and for weak
 squeezing the surviving value can lie far below the double-precision
 range.  The kernels therefore:
 
-* evaluate in arbitrary-precision arithmetic, starting at roughly
-  ``N + 96`` bits, and accept a pass once the bits that survive the
-  cancellation (the sum's exponent minus the largest term's, plus the
-  working precision) cover a double plus the summation error bound of
-  :func:`contangle.config.required_bits`.  A pass that falls short but
-  still shows real leading bits says how many are missing, and the next
-  pass adds exactly those plus a little slack; a pass with no real bits
-  doubles the precision;
+* evaluate in arbitrary-precision arithmetic and accept a pass once the
+  bits that survive the cancellation (the sum's exponent minus the
+  largest term's, plus the working precision) cover a double plus the
+  summation error bound of :func:`contangle.config.required_bits`;
+* start the residual at the cancellation predicted in doubles from the
+  Beta-function magnitude ``B(N, x0)`` of Rice's integral (see
+  :func:`_predicted_cancellation`) plus that bound and a little slack,
+  never below the generic ``N + 96`` bits, so almost every call is
+  accepted on its first pass.  Other sums, and residuals without a
+  finite prediction, start at the generic precision;
+* after a pass that falls short but still shows real leading bits, add
+  exactly the missing bits plus the slack; after a pass with no real
+  bits, double the precision.  The prediction only chooses the first
+  pass, so a wrong one costs time, never accuracy;
 * report results as :class:`SumResult`, which carries the nearest double
   *and* an exponent-exact ``mantissa * 2**exp2`` view, so magnitudes below
   the double range stay ordered and printable.
@@ -145,8 +151,7 @@ def compare(x: SumResult, y: SumResult) -> int:
     return sx * (1 if abs(x.mantissa) > abs(y.mantissa) else -1)
 
 
-def _escalate(evaluate, n_terms: int, min_precision: int | None) -> SumResult:
-    prec = config.starting_precision(n_terms, min_precision)
+def _escalate(evaluate, n_terms: int, prec: int) -> SumResult:
     need = config.required_bits(n_terms)
     while True:
         value, mantissa, exp2, max_exp2, any_term = evaluate(prec)
@@ -167,6 +172,43 @@ def _escalate(evaluate, n_terms: int, min_precision: int | None) -> SumResult:
         else:  # the sum is rounding noise: nothing is known, double
             prec *= 2
         prec = min(prec, config.MAX_PRECISION)
+
+
+def _predicted_cancellation(n: int, m: int, r: float) -> int | None:
+    """Bits the residual sum of :func:`residual_sum` should cancel, in doubles.
+
+    The sum is the ``(n-1)``-th finite difference of
+    ``f(z) = asinh(sqrt(w(z)))**2``, with ``w`` rational in ``z``.  By
+    Rice's integral (Flajolet & Sedgewick, "Mellin transforms and
+    asymptotics: finite differences and Rice's integrals", TCS 144, 1995)
+    it is dominated by the log singularity of ``f`` at the pole of ``w``,
+    ``z = -x0``, so ``|sum| ~ B(n, x0) = Gamma(n) Gamma(x0) / Gamma(n + x0)``.
+    The cancellation is log2 of the largest term minus ``log2 B``.  Returns
+    None where that is not a finite number (zero, overflowing or
+    underflowing squeezing); the caller then keeps the generic start.
+    """
+    try:
+        e4m1 = math.expm1(4.0 * r)
+        scale = 4.0 * math.sinh(2.0 * r) ** 2 / (n + m)
+        x0 = (e4m1 * m + m + n) / e4m1
+    except (OverflowError, ZeroDivisionError):  # r = 0, or beyond the doubles
+        return None
+    e4 = e4m1 + 1.0
+    top = -math.inf  # log2 of the largest term
+    log2_binom = 0.0
+    for j in range(n - 1):
+        w = scale * (n - 1 - j) / (e4 * (j + m) + (n - j))
+        f = math.asinh(math.sqrt(w)) ** 2
+        if f > 0.0:
+            top = max(top, log2_binom + math.log2(f))
+        log2_binom += math.log2((n - 1 - j) / (j + 1))
+    if not (math.isfinite(top) and math.isfinite(x0)):
+        return None
+    # ln B = ln (n-1)! - ln(x0 (x0+1) ... (x0+n-1)): unlike a difference
+    # of lgamma values, this stays exact when x0 is huge (tiny squeezing)
+    log_b = math.lgamma(n) - math.fsum(math.log(x0 + k) for k in range(n))
+    log2_b = log_b / math.log(2)
+    return math.floor(top) + 1 - math.floor(log2_b)
 
 
 def residual_sum(
@@ -192,9 +234,12 @@ def residual_sum(
     r = float(r_bar)
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"mean squeezing must be finite and >= 0, got {r}")
-    return _escalate(
-        lambda prec: _BACKEND.eval_residual(n, m, r, prec), n, min_precision
-    )
+    prec = config.starting_precision(n, min_precision)
+    cancelled = _predicted_cancellation(n, m, r)
+    if cancelled is not None:
+        predicted = cancelled + config.required_bits(n) + config.JUMP_SLACK
+        prec = min(config.MAX_PRECISION, max(prec, predicted))
+    return _escalate(lambda prec: _BACKEND.eval_residual(n, m, r, prec), n, prec)
 
 
 def comparison_sum(
@@ -216,5 +261,7 @@ def comparison_sum(
     if not (math.isfinite(b) and b > 0.0) or not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"coefficients b, c must be finite and > 0, got {b}, {c}")
     return _escalate(
-        lambda prec: _BACKEND.eval_comparison(n, a, b, c, prec), n, min_precision
+        lambda prec: _BACKEND.eval_comparison(n, a, b, c, prec),
+        n,
+        config.starting_precision(n, min_precision),
     )

@@ -603,25 +603,15 @@ def molecular_residual(
     Grouping ``modes_per_party`` consecutive modes into one party leaves
     every reduced determinant of the symmetric family invariant, so the
     residual between ``parties`` molecules equals the unit-molecule
-    residual of as many modes.  The determinant invariance is re-verified
-    here for every block size before the reduction is trusted; a failure
-    would mean the closed forms have drifted and raises immediately.
+    residual of as many modes.  That invariance is exact algebra of
+    :func:`contangle.formulas.det_reduced`; the ``scale`` verification
+    suite checks it across block sizes.
     """
     if not isinstance(partition, MoleculePartition):
         raise ValueError("partition must be a MoleculePartition")
     traced = operator.index(traced_parties)
     if traced < 0:
         raise ValueError(f"traced molecule count must be >= 0, got {traced}")
-    n = partition.modes_per_party
-    total = partition.parties + traced
-    for block in range(1, total):
-        fine = formulas.det_reduced(n * block, n * total, r_bar)
-        coarse = formulas.det_reduced(block, total, r_bar)
-        if abs(fine - coarse) > TOL.molecular_det * max(1.0, abs(coarse)):
-            raise ArithmeticError(
-                f"molecular reduction broke determinant invariance at "
-                f"block={block}: {fine} vs {coarse}"
-            )
     return residual_sum(
         partition.parties, traced, r_bar, min_precision=min_precision
     ).value

@@ -119,7 +119,20 @@ class FidelityPoint:
 
     @classmethod
     def from_squeezing(cls, n_parties: int, r_bar: float) -> "FidelityPoint":
-        return cls(n_parties, r_bar, fidelity_from_squeezing(n_parties, r_bar))
+        """The point at squeezing ``r_bar``.
+
+        The infidelity ``1 - F`` decays like ``sqrt(n / 2) * e**(-2 r)``, so
+        ``F`` rounds to 1 once ``r_bar`` exceeds about 18.5 (about 20 at a
+        thousand parties); such a point has no fidelity in ``[1/2, 1)``
+        and is rejected with a ``ValueError``.
+        """
+        fidelity = fidelity_from_squeezing(n_parties, r_bar)
+        if fidelity == 1.0:
+            raise ValueError(
+                f"fidelity saturates: at r_bar={float(r_bar)} it rounds to 1 "
+                f"in double precision for {operator.index(n_parties)} parties"
+            )
+        return cls(n_parties, r_bar, fidelity)
 
     @classmethod
     def from_fidelity(cls, n_parties: int, fidelity: float) -> "FidelityPoint":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from decimal import Decimal
 
 import pytest
@@ -86,6 +87,15 @@ def test_residual_huge_squeezing_does_not_overflow():
     rec = json.loads(result.output)[0]
     assert rec["fidelity"] == 1.0
     assert rec["residual"] > 0
+
+
+def test_residual_verbose_huge_squeezing_lists_finite_terms():
+    # e**(-4 r) underflows here; the j=0, M=0 term still evaluates
+    result = run("residual", "--n", "3", "--rbar", "190", "-v", "--format", "json")
+    assert result.exit_code == 0
+    terms = json.loads(result.output)[0]["terms"]
+    assert len(terms) == 2
+    assert all(math.isfinite(t["value"]) and t["value"] > 0 for t in terms)
 
 
 def test_precision_bits_are_validated():

@@ -116,6 +116,19 @@ def test_bipartite_contangle_huge_squeezing_does_not_overflow():
     assert value > 0
 
 
+def test_whole_rest_contangle_past_the_decay_underflow():
+    # one mode against all others: e**(-4 r) leaves the normal range near
+    # r = 177, where asinh(x)**2 = ln(2 x)**2 takes over without a jump
+    # (ln 2x)**2 grows by 4 ln(2x) per unit of r
+    below = formulas.bipartite_contangle(2, 3, 176.9)
+    above = formulas.bipartite_contangle(2, 3, 177.1)
+    slope = 4.0 * math.sqrt(formulas.bipartite_contangle(2, 3, 177.0))
+    assert (above - below) / 0.2 == pytest.approx(slope, rel=1e-6)
+    assert formulas.decomposition_term(0, 3, 0, 190.0) == pytest.approx(
+        (380.0 + math.log(2.0 * math.sqrt(2.0) / 3.0)) ** 2, rel=1e-15
+    )
+
+
 def test_bipartite_contangle_validation():
     with pytest.raises(ValueError):
         formulas.bipartite_contangle(0, 4, 0.5)

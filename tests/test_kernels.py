@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -52,9 +53,12 @@ def test_zero_squeezing_is_exact_zero():
     assert result.mantissa == 0.0
 
 
-def test_sub_double_magnitudes_survive():
-    # true value 8.44427485718109e-1136, far below the double range
+def test_sub_double_magnitudes_survive(monkeypatch):
+    # true value 8.44427485718109e-1136, far below the double range; the
+    # generic start would double through three noise passes first
+    passes = _record_passes(monkeypatch)
     result = residual_sum(1000, 0, 0.05)
+    assert len(passes) == 1
     assert result.value == 0.0
     assert result.mantissa > 0.0
     assert result.exp2 < -3000
@@ -80,6 +84,7 @@ def _record_passes(monkeypatch):
 @pytest.mark.parametrize(
     "n,r,expected,jumps",
     [
+        # how escalation proceeds from the generic start
         (10, 0.8, 0.30806517901432, None),  # mild cancellation: one pass
         (100, 2.0, 3.0818026051983, None),  # ~2^95 cancels within the margin
         (500, 1.15, 1.88901251291e-13, True),  # short by a few bits: one jump
@@ -91,11 +96,15 @@ def test_escalation_raises_precision_only_when_needed(
     monkeypatch, n, r, expected, jumps
 ):
     passes = _record_passes(monkeypatch)
-    result = residual_sum(n, 0, r)
-    assert result.value == pytest.approx(expected, rel=1e-11)
     need = config.required_bits(n)
-    assert passes[0][0] == config.starting_precision(n)
-    assert passes[-1][0] == result.precision
+    # the jump and double rules, driven from the generic start
+    start = config.starting_precision(n)
+    generic = kernels._escalate(
+        lambda prec: kernels._BACKEND.eval_residual(n, 0, r, prec), n, start
+    )
+    assert generic.value == pytest.approx(expected, rel=1e-11)
+    assert passes[0][0] == start
+    assert passes[-1][0] == generic.precision
     assert passes[-1][1] >= need  # accepted on the error bound
     # every rejected pass fell short, and the next precision follows the rule
     for (prec, survived), (next_prec, _) in zip(passes, passes[1:]):
@@ -108,10 +117,54 @@ def test_escalation_raises_precision_only_when_needed(
         assert len(passes) == 1
     elif jumps:
         # the final precision is the bound plus at most one jump's slack
-        cancelled = result.precision - passes[-1][1]
-        assert result.precision <= cancelled + need + config.JUMP_SLACK
+        cancelled = generic.precision - passes[-1][1]
+        assert generic.precision <= cancelled + need + config.JUMP_SLACK
     else:
         assert len(passes) > 2
+    # the predicted start accepts every case on its first pass, and spends
+    # at most the slack (plus two bits of flooring) beyond the bound
+    passes.clear()
+    result = residual_sum(n, 0, r)
+    assert len(passes) == 1 and passes[0][1] >= need
+    assert result.precision == start or passes[0][1] <= need + config.JUMP_SLACK + 2
+    assert (result.value, result.mantissa, result.exp2) == (
+        generic.value,
+        generic.mantissa,
+        generic.exp2,
+    )
+
+
+def test_predicted_start_matches_the_generic_start():
+    rng = random.Random(20261020)
+    for _ in range(150):
+        n, m, r = rng.randint(2, 60), rng.randint(0, 20), rng.uniform(0.05, 1.5)
+        predicted = residual_sum(n, m, r)
+        generic = kernels._escalate(
+            lambda prec: kernels._BACKEND.eval_residual(n, m, r, prec),
+            n,
+            config.starting_precision(n),
+        )
+        assert (predicted.value, predicted.mantissa, predicted.exp2) == (
+            generic.value,
+            generic.mantissa,
+            generic.exp2,
+        ), (n, m, r)
+
+
+@pytest.mark.parametrize(
+    "m,r",
+    [(0, 0.0), (0, 1e-300), (0, 300.0), (10**400, 0.5)],
+    ids=["zero", "sinh-underflow", "exp-overflow", "huge-traced-count"],
+)
+def test_predictor_falls_back_to_the_generic_start(monkeypatch, m, r):
+    # zero squeezing, a squeezing whose sinh underflows, one whose
+    # exponential overflows and a traced count beyond the doubles give no
+    # finite prediction
+    assert kernels._predicted_cancellation(3, m, r) is None
+    passes = _record_passes(monkeypatch)
+    result = residual_sum(3, m, r)
+    assert passes[0][0] == config.starting_precision(3)
+    assert result.is_zero == (r == 0.0)
 
 
 def test_error_bound_gives_the_nearest_double():

@@ -282,6 +282,13 @@ def test_molecular_residual_equals_unit_molecule_value():
     )
 
 
+def test_molecular_residual_at_huge_squeezing():
+    # cosh(4 r) overflows a double here; the molecular residual does not
+    value = molecular_residual(MoleculePartition(2, 3), 0, 300.0)
+    assert value == residual_contangle(state(3, 0, 300.0))
+    assert math.isfinite(value) and value > 0
+
+
 def test_fewer_larger_molecules_hold_more():
     # twelve modes total, grouped four ways
     values = [

@@ -138,3 +138,10 @@ def test_fidelity_point_construction():
         FidelityPoint(3, 0.0, 0.7)  # unsqueezed yet beating classical
     with pytest.raises(ValueError):
         FidelityPoint(1, 0.5, 0.7)
+
+
+def test_fidelity_point_rejects_saturated_fidelity():
+    # F rounds to 1 in double precision above r_bar ~ 18.5
+    assert FidelityPoint.from_squeezing(3, 18.0).fidelity < 1.0
+    with pytest.raises(ValueError, match="saturates"):
+        FidelityPoint.from_squeezing(3, 20.0)
