@@ -59,21 +59,43 @@ def r_bar_from_db(db: float) -> float:
     return float(db) * _LN10 / 20.0
 
 
-def det_reduced(n_keep: int, n_total: int, r_bar: float) -> float:
-    """Covariance determinant of ``n_keep`` modes kept out of ``n_total``.
-
-    Closed form for the pure fully symmetric state.  Exactly 1 when the
-    whole state is kept (purity) and at zero squeezing (vacuum); for proper
-    reductions it grows like cosh of four times the mean squeezing.
-    """
+def _det_parts(n_keep: int, n_total: int, r_bar: float) -> tuple[int, int, int, float]:
+    """Validated ``(base, cross, n, r_bar)`` with
+    ``det = (base + cross * cosh(4 r_bar)) / n**2``; ``cross`` is 0 exactly
+    when the whole state is kept."""
     k = operator.index(n_keep)
     n = operator.index(n_total)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= n_keep <= n_total, got {k} of {n}")
     r_bar = _check_r_bar(r_bar)
-    base = 2 * k * k - 2 * n * k + n * n
-    cross = 2 * (n - k) * k
-    return (base + cross * math.cosh(4.0 * r_bar)) / (n * n)
+    return 2 * k * k - 2 * n * k + n * n, 2 * (n - k) * k, n, r_bar
+
+
+def det_reduced(n_keep: int, n_total: int, r_bar: float) -> float:
+    """Covariance determinant of ``n_keep`` modes kept out of ``n_total``.
+
+    Closed form for the pure fully symmetric state.  Exactly 1 when the
+    whole state is kept (purity) and at zero squeezing (vacuum); for proper
+    reductions it grows like cosh of four times the mean squeezing.  Raises
+    ``ValueError`` where the determinant exceeds the double range.
+    """
+    base, cross, n, r_bar = _det_parts(n_keep, n_total, r_bar)
+    if cross == 0:
+        return 1.0
+    try:
+        det = (base + cross * math.cosh(4.0 * r_bar)) / (n * n)
+    except OverflowError:
+        det = math.inf
+    if det < math.inf:
+        return det
+    # cross * cosh(4r) left the doubles: cosh(4r) = e**(4r) / 2 and base is
+    # negligible there
+    try:
+        return math.exp(4.0 * r_bar + math.log(cross / (2 * n * n)))
+    except OverflowError:
+        raise ValueError(
+            f"det_reduced({n_keep}, {n_total}, {r_bar}) exceeds the double range"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -98,10 +120,19 @@ def localized_purities(
     nr = operator.index(n_right)
     if nl < 1 or nr < 1:
         raise ValueError("both blocks must contain at least one mode")
-    joint = det_reduced(nl + nr, n_total, r_bar)
-    left = det_reduced(nl, n_total, r_bar)
-    right = det_reduced(nr, n_total, r_bar)
-    return PurityTriple(joint**-0.5, left**-0.5, right**-0.5)
+    return PurityTriple(
+        _purity(nl + nr, n_total, r_bar), _purity(nl, n_total, r_bar), _purity(nr, n_total, r_bar)
+    )
+
+
+def _purity(n_keep: int, n_total: int, r_bar: float) -> float:
+    """``det_reduced(...)**-0.5`` in decaying form, finite at any squeezing:
+    ``n e**(-2r) / sqrt(base e**(-4r) + cross (1 + e**(-8r)) / 2)``."""
+    base, cross, n, r_bar = _det_parts(n_keep, n_total, r_bar)
+    if cross == 0:
+        return 1.0
+    decay = math.exp(-4.0 * r_bar)
+    return n * math.exp(-2.0 * r_bar) / math.sqrt(base * decay + cross * (1.0 + decay * decay) / 2)
 
 
 def bipartite_contangle(n_block: int, n_total: int, r_bar: float) -> ContangleValue:

@@ -6,27 +6,37 @@ thousand the cancellation eats close to a thousand bits, and for weak
 squeezing the surviving value can lie far below the double-precision
 range.  The kernels therefore:
 
-* evaluate in arbitrary-precision arithmetic and accept a pass once the
-  bits that survive the cancellation (the sum's exponent minus the
-  largest term's, plus the working precision) cover a double plus the
-  summation error bound of :func:`contangle.config.required_bits`;
-* start the residual at the cancellation predicted in doubles from the
-  Beta-function magnitude ``B(N, x0)`` of Rice's integral (see
-  :func:`_predicted_cancellation`) plus that bound and a little slack,
-  never below the generic ``N + 96`` bits, so almost every call is
-  accepted on its first pass.  Other sums, and residuals without a
-  finite prediction, start at the generic precision;
+* profile the residual's terms once per call, in doubles and in log form
+  (:func:`_term_profile`): ``top_exp2``, the exponent of the largest
+  term, and the cancellation predicted from the Beta-function magnitude
+  ``B(N, x0)`` of Rice's integral.  The profile is finite for every
+  squeezing ``r > 0`` and every traced count;
+* evaluate each residual pass in fixed point: every term is an integer in
+  units of ``2**(top_exp2 - prec)``, off by less than one unit, and the
+  terms are summed exactly, so the pass errs by at most
+  ``(N-1) 2**(top_exp2 - prec)``.  The pass reports
+  ``max_exp2 = max(top_exp2, observed)``, and the acceptance bound below
+  holds whatever the estimate (see :mod:`contangle.kernels.pure`);
+* accept a pass once the bits that survive the cancellation (the sum's
+  exponent minus the largest term's, plus the working precision) cover a
+  double plus the summation error bound of
+  :func:`contangle.config.required_bits`;
+* start the residual at the predicted cancellation plus that bound and a
+  little slack, never below the generic ``N + 96`` bits, so almost every
+  call is accepted on its first pass.  Other sums start at the generic
+  precision;
 * after a pass that falls short but still shows real leading bits, add
   exactly the missing bits plus the slack; after a pass with no real
-  bits, double the precision.  The prediction only chooses the first
-  pass, so a wrong one costs time, never accuracy;
+  bits, double the precision.  The profile only chooses the first pass
+  and the unit of the fixed point, so a wrong one costs time, never
+  accuracy;
 * report results as :class:`SumResult`, which carries the nearest double
   *and* an exponent-exact ``mantissa * 2**exp2`` view, so magnitudes below
   the double range stay ordered and printable.
 
 Two interchangeable backends exist: a compiled MPFR kernel (built at
-install time when the MPFR/GMP headers are available) and a pure
-:mod:`mpmath` one.  Selection happens at import; set the environment
+install time when the MPFR/GMP headers are available) and a pure-Python
+one (Python integers plus :mod:`mpmath`).  Selection happens at import; set the environment
 variable ``CONTANGLE_BACKEND`` to ``native`` or ``python`` to force a
 choice, anything else defaults to the compiled kernel when present.
 """
@@ -174,41 +184,71 @@ def _escalate(evaluate, n_terms: int, prec: int) -> SumResult:
         prec = min(prec, config.MAX_PRECISION)
 
 
-def _predicted_cancellation(n: int, m: int, r: float) -> int | None:
-    """Bits the residual sum of :func:`residual_sum` should cancel, in doubles.
+_LN2 = math.log(2.0)
 
-    The sum is the ``(n-1)``-th finite difference of
-    ``f(z) = asinh(sqrt(w(z)))**2``, with ``w`` rational in ``z``.  By
-    Rice's integral (Flajolet & Sedgewick, "Mellin transforms and
-    asymptotics: finite differences and Rice's integrals", TCS 144, 1995)
-    it is dominated by the log singularity of ``f`` at the pole of ``w``,
-    ``z = -x0``, so ``|sum| ~ B(n, x0) = Gamma(n) Gamma(x0) / Gamma(n + x0)``.
-    The cancellation is log2 of the largest term minus ``log2 B``.  Returns
-    None where that is not a finite number (zero, overflowing or
-    underflowing squeezing); the caller then keeps the generic start.
+
+def _term_profile(n: int, m: int, r: float) -> tuple[int, int] | None:
+    """``(cancelled bits, top_exp2)`` of the residual sum, in doubles.
+
+    ``top_exp2 = floor(log2 max_j C(n-1, j) f_j) + 1`` is the exponent the
+    pass takes as the largest term's.  The sum is the ``(n-1)``-th finite
+    difference of ``f(z) = asinh(sqrt(w(z)))**2``, with ``w`` rational in
+    ``z``.  By Rice's integral (Flajolet & Sedgewick, "Mellin transforms
+    and asymptotics: finite differences and Rice's integrals", TCS 144,
+    1995) it is dominated by the log singularity of ``f`` at the pole of
+    ``w``, ``z = -x0``, so ``|sum| ~ B(n, x0) = Gamma(n) Gamma(x0) /
+    Gamma(n + x0)``, and the cancellation is ``top_exp2 - log2 B``.
+
+    Everything is taken in log form, with ``d = e**(-4r)`` decaying, so the
+    profile is finite for every ``r > 0`` and every ``m``: squeezing whose
+    ``sinh**2`` underflows or whose ``e**(4r)`` overflows, and traced
+    counts beyond the doubles.  Returns None only at ``r = 0``, where
+    every term vanishes.
     """
-    try:
-        e4m1 = math.expm1(4.0 * r)
-        scale = 4.0 * math.sinh(2.0 * r) ** 2 / (n + m)
-        x0 = (e4m1 * m + m + n) / e4m1
-    except (OverflowError, ZeroDivisionError):  # r = 0, or beyond the doubles
+    if r == 0.0:
         return None
-    e4 = e4m1 + 1.0
+    nm = n + m
+    d = math.exp(-4.0 * r)
+    log_1md = math.log(-math.expm1(-4.0 * r))  # ln(1 - d)
+    log_c = 2.0 * (log_1md - math.log(nm))  # c = (1 - d)**2 / nm**2
+    c = math.exp(log_c)
     top = -math.inf  # log2 of the largest term
     log2_binom = 0.0
     for j in range(n - 1):
-        w = scale * (n - 1 - j) / (e4 * (j + m) + (n - j))
-        f = math.asinh(math.sqrt(w)) ** 2
-        if f > 0.0:
-            top = max(top, log2_binom + math.log2(f))
+        if j + m == 0:
+            # sqrt(w) = 2 sinh(2r) sqrt(n-1) / n = e**(2r + k0), unbounded
+            k0 = log_1md + 0.5 * math.log(n - 1) - math.log(n)
+            if 2.0 * r + k0 > 20.0:  # asinh = 2r + k0 + ln 2, maybe past the doubles
+                log_a = math.log(r) + math.log(2.0 + (k0 + _LN2) / r)
+            elif 2.0 * r + k0 < -20.0:  # asinh(x) = x to double precision
+                log_a = 2.0 * r + k0
+            else:
+                log_a = math.log(math.asinh(math.exp(2.0 * r + k0)))
+            log2_f = 2.0 * log_a / _LN2
+        else:
+            # w = c (n-1-j) / den < 1, den = (j + m + (n-j) d) / nm
+            den = (j + m) / nm + (n - j) / nm * d
+            if log_c > -700.0:
+                log2_f = math.log2(math.asinh(math.sqrt(c * (n - 1 - j) / den)) ** 2)
+            else:  # w underflows, and f = w to double precision
+                log2_f = (log_c + math.log(n - 1 - j) - math.log(den)) / _LN2
+        top = max(top, log2_binom + log2_f)
         log2_binom += math.log2((n - 1 - j) / (j + 1))
-    if not (math.isfinite(top) and math.isfinite(x0)):
-        return None
-    # ln B = ln (n-1)! - ln(x0 (x0+1) ... (x0+n-1)): unlike a difference
-    # of lgamma values, this stays exact when x0 is huge (tiny squeezing)
-    log_b = math.lgamma(n) - math.fsum(math.log(x0 + k) for k in range(n))
-    log2_b = log_b / math.log(2)
-    return math.floor(top) + 1 - math.floor(log2_b)
+    # x0 = m + nm / (e**(4r) - 1); ln B = ln (n-1)! - ln(x0 (x0+1) ... (x0+n-1))
+    log_x0 = math.log(nm) - 4.0 * r - log_1md
+    if m:  # ln(m + e**log_x0)
+        log_m = math.log(m)
+        log_x0 = max(log_x0, log_m) + math.log1p(math.exp(-abs(log_x0 - log_m)))
+    if log_x0 > 700.0:  # every x0 + k rounds to x0
+        log_prod = n * log_x0
+    else:
+        x0 = math.exp(log_x0)
+        log_prod = math.fsum([log_x0, *(math.log(x0 + k) for k in range(1, n))])
+    # a magnitude above the largest term predicts no cancellation, which
+    # the generic start covers anyway; this also caps x0 -> 0 (r -> inf)
+    log2_b = min(top, (math.lgamma(n) - log_prod) / _LN2)
+    top_exp2 = math.floor(top) + 1
+    return top_exp2 - math.floor(log2_b), top_exp2
 
 
 def residual_sum(
@@ -235,11 +275,16 @@ def residual_sum(
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"mean squeezing must be finite and >= 0, got {r}")
     prec = config.starting_precision(n, min_precision)
-    cancelled = _predicted_cancellation(n, m, r)
-    if cancelled is not None:
+    profile = _term_profile(n, m, r)
+    if profile is None:  # r = 0: the pass returns an exact zero
+        top_exp2 = 0
+    else:
+        cancelled, top_exp2 = profile
         predicted = cancelled + config.required_bits(n) + config.JUMP_SLACK
         prec = min(config.MAX_PRECISION, max(prec, predicted))
-    return _escalate(lambda prec: _BACKEND.eval_residual(n, m, r, prec), n, prec)
+    return _escalate(
+        lambda prec: _BACKEND.eval_residual(n, m, r, prec, top_exp2=top_exp2), n, prec
+    )
 
 
 def comparison_sum(

@@ -66,6 +66,43 @@ def test_localized_purities():
     )
 
 
+def test_det_reduced_whole_state_is_exactly_pure_at_huge_squeezing():
+    for n in (1, 3, 40):
+        assert formulas.det_reduced(n, n, 300.0) == 1.0
+
+
+def test_det_reduced_past_the_cosh_overflow():
+    # cosh(4r) overflows above r ~ 177.4, the determinant itself only later
+    # det = (2 * 999 cosh(714) + base) / 1000**2, cosh(714) = e**714 / 2
+    det = formulas.det_reduced(1, 1000, 178.5)
+    assert det == pytest.approx(math.exp(714.0 + math.log(999e-6)), rel=1e-12)
+    assert formulas.det_reduced(500, 1000, 175.0) == pytest.approx(
+        0.5 * math.cosh(700.0), rel=1e-13
+    )
+
+
+def test_det_reduced_beyond_the_doubles_is_a_value_error():
+    with pytest.raises(ValueError, match="double range"):
+        formulas.det_reduced(1, 3, 300.0)
+
+
+def test_localized_purities_at_huge_squeezing():
+    # det = 4/9 cosh(1200) + 5/9, so the purity is 3 e**-600 / sqrt(2)
+    triple = formulas.localized_purities(1, 1, 3, 300.0)
+    expected = 3.0 / math.sqrt(2.0) * math.exp(-600.0)
+    assert triple.left == pytest.approx(expected, rel=1e-13)
+    assert triple.right == triple.left
+    assert triple.joint == pytest.approx(expected, rel=1e-13)  # complement of one mode
+    assert formulas.localized_purities(1, 2, 3, 300.0).joint == 1.0
+
+
+def test_localized_purities_match_the_determinant():
+    for nl, nr, n, r in ((1, 1, 3, 0.5), (2, 3, 10, 1.7), (1, 4, 6, 0.0), (3, 3, 40, 90.0)):
+        triple = formulas.localized_purities(nl, nr, n, r)
+        for purity, keep in ((triple.joint, nl + nr), (triple.left, nl), (triple.right, nr)):
+            assert purity == pytest.approx(formulas.det_reduced(keep, n, r) ** -0.5, rel=1e-13)
+
+
 def test_localized_purities_rejects_oversized_blocks():
     with pytest.raises(ValueError):
         formulas.localized_purities(2, 2, 3, 0.5)

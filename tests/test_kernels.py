@@ -71,14 +71,24 @@ def _record_passes(monkeypatch):
     passes = []
     evaluate = kernels._BACKEND.eval_residual
 
-    def recording(n_kept, n_traced, r_bar, prec):
-        out = evaluate(n_kept, n_traced, r_bar, prec)
+    def recording(n_kept, n_traced, r_bar, prec, *, top_exp2):
+        out = evaluate(n_kept, n_traced, r_bar, prec, top_exp2=top_exp2)
         _, _, exp2, max_exp2, _ = out
         passes.append((prec, exp2 - (max_exp2 - prec)))
         return out
 
     monkeypatch.setattr(kernels._BACKEND, "eval_residual", recording)
     return passes
+
+
+def _generic_start(n, m, r):
+    """``residual_sum`` escalated from the generic start, not the predicted one."""
+    _, top_exp2 = kernels._term_profile(n, m, r)
+    return kernels._escalate(
+        lambda prec: kernels._BACKEND.eval_residual(n, m, r, prec, top_exp2=top_exp2),
+        n,
+        config.starting_precision(n),
+    )
 
 
 @pytest.mark.parametrize(
@@ -99,9 +109,7 @@ def test_escalation_raises_precision_only_when_needed(
     need = config.required_bits(n)
     # the jump and double rules, driven from the generic start
     start = config.starting_precision(n)
-    generic = kernels._escalate(
-        lambda prec: kernels._BACKEND.eval_residual(n, 0, r, prec), n, start
-    )
+    generic = _generic_start(n, 0, r)
     assert generic.value == pytest.approx(expected, rel=1e-11)
     assert passes[0][0] == start
     assert passes[-1][0] == generic.precision
@@ -139,11 +147,7 @@ def test_predicted_start_matches_the_generic_start():
     for _ in range(150):
         n, m, r = rng.randint(2, 60), rng.randint(0, 20), rng.uniform(0.05, 1.5)
         predicted = residual_sum(n, m, r)
-        generic = kernels._escalate(
-            lambda prec: kernels._BACKEND.eval_residual(n, m, r, prec),
-            n,
-            config.starting_precision(n),
-        )
+        generic = _generic_start(n, m, r)
         assert (predicted.value, predicted.mantissa, predicted.exp2) == (
             generic.value,
             generic.mantissa,
@@ -152,19 +156,89 @@ def test_predicted_start_matches_the_generic_start():
 
 
 @pytest.mark.parametrize(
-    "m,r",
-    [(0, 0.0), (0, 1e-300), (0, 300.0), (10**400, 0.5)],
-    ids=["zero", "sinh-underflow", "exp-overflow", "huge-traced-count"],
+    "n,m,r",
+    [(3, 0, 0.0), (3, 0, 1e-300), (30, 2, 1e-300), (3, 0, 300.0), (3, 10**400, 0.5)],
+    ids=[
+        "zero",
+        "sinh-underflow",
+        "sinh-underflow-many-modes",
+        "exp-overflow",
+        "huge-traced-count",
+    ],
 )
-def test_predictor_falls_back_to_the_generic_start(monkeypatch, m, r):
-    # zero squeezing, a squeezing whose sinh underflows, one whose
-    # exponential overflows and a traced count beyond the doubles give no
-    # finite prediction
-    assert kernels._predicted_cancellation(3, m, r) is None
+def test_predictor_falls_back_to_the_generic_start(monkeypatch, n, m, r):
+    # only zero squeezing has no profile; a squeezing whose sinh**2
+    # underflows, one whose exponential overflows and a traced count beyond
+    # the doubles all get a finite prediction, taken in log form, and one
+    # pass (the generic start doubled (30, 2, 1e-300) up to 32,256 bits)
+    profile = kernels._term_profile(n, m, r)
     passes = _record_passes(monkeypatch)
-    result = residual_sum(3, m, r)
-    assert passes[0][0] == config.starting_precision(3)
-    assert result.is_zero == (r == 0.0)
+    result = residual_sum(n, m, r)
+    if r == 0.0:
+        assert profile is None
+        assert passes[0][0] == config.starting_precision(n)
+        assert result.is_zero
+        return
+    cancelled, top_exp2 = profile
+    assert math.isfinite(cancelled) and math.isfinite(top_exp2)
+    assert len(passes) == 1
+    assert not result.is_zero
+    generic = _generic_start(n, m, r)
+    assert (result.value, result.mantissa, result.exp2) == (
+        generic.value,
+        generic.mantissa,
+        generic.exp2,
+    )
+
+
+def test_fixed_point_pass_error_bound():
+    # a pass errs by less than one unit of 2**(top_exp2 - prec) per term,
+    # plus the rounding of its result to a double; near the predicted
+    # cancellation that error is what separates the two passes
+    rng = random.Random(5)
+    for _ in range(60):
+        n, m, r = rng.randint(2, 200), rng.randint(0, 20), rng.uniform(0.05, 3.0)
+        cancelled, top_exp2 = kernels._term_profile(n, m, r)
+        prec = max(8, cancelled + rng.randint(-16, 24))
+        low = pure.eval_residual(n, m, r, prec, top_exp2=top_exp2)
+        high = pure.eval_residual(n, m, r, 2 * prec, top_exp2=top_exp2)
+        assert low[3] >= top_exp2
+        with mpmath.mp.workprec(4 * prec):
+            diff = abs(mpmath.ldexp(low[1], low[2]) - mpmath.ldexp(high[1], high[2]))
+            # both mantissas are rounded to doubles: allow half an ulp each
+            ulps = mpmath.ldexp(1, low[2] - 53) + mpmath.ldexp(1, high[2] - 53)
+            assert diff <= (n - 1) * mpmath.ldexp(1, low[3] - prec) + ulps, (n, m, r, prec)
+
+
+# (N, M, r) -> (mantissa, exp2) of the float pass this one replaced
+FROZEN_EXTREMES = [
+    (3, 0, 1e-300, 0.7119397697691651, -2987),
+    (3, 0, 300.0, 0.6865095714041455, 19),
+    (3, 0, 1e30, 0.6223015277861143, 202),
+    (3, 0, 1e300, 0.5574278282379019, 1996),
+    (3, 10**400, 0.5, 0.5201228452096197, -3985),
+    (5, 0, 1e-300, 0.5296751370522849, -4979),
+    (5, 0, 300.0, 0.6861326453151548, 19),
+    (5, 0, 1e30, 0.6223015277861143, 202),
+    (5, 0, 1e300, 0.5574278282379019, 1996),
+    (5, 10**400, 0.5, 0.8009790163680514, -6640),
+    (7, 0, 1e-300, 0.8653582230413182, -6972),
+    (7, 0, 300.0, 0.6858261288511269, 19),
+    (7, 0, 1e30, 0.6223015277861143, 202),
+    (7, 0, 1e300, 0.5574278282379019, 1996),
+    (7, 10**400, 0.5, 0.7709325193207084, -9293),
+]
+
+
+@pytest.mark.parametrize(
+    "n,m,r,mantissa,exp2",
+    FROZEN_EXTREMES,
+    ids=[f"{n}-{'huge' if m else m}-{r}" for n, m, r, _, _ in FROZEN_EXTREMES],
+)
+def test_frozen_extremes(n, m, r, mantissa, exp2):
+    result = residual_sum(n, m, r)
+    assert (result.mantissa, result.exp2) == (mantissa, exp2)
+    assert result.value == (math.ldexp(mantissa, exp2) if exp2 <= 1024 else math.inf)
 
 
 def test_error_bound_gives_the_nearest_double():
@@ -221,7 +295,10 @@ def test_validation():
 def test_backends_agree_bit_for_bit(n, m, r):
     native = _native()
     prec = config.starting_precision(n)
-    assert pure.eval_residual(n, m, r, prec) == native.eval_residual(n, m, r, prec)
+    _, top_exp2 = kernels._term_profile(n, m, r)
+    assert pure.eval_residual(n, m, r, prec, top_exp2=top_exp2) == native.eval_residual(
+        n, m, r, prec, top_exp2=top_exp2
+    )
 
 
 def test_comparison_backends_agree():
