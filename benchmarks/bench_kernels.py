@@ -1,18 +1,33 @@
-"""Timing comparison of the compiled and pure-Python sum kernels.
+"""Timing of the sum kernels, warm or cold.
 
 Run as a script::
 
-    python benchmarks/bench_kernels.py
+    python benchmarks/bench_kernels.py           # warm: best of 3 per case
+    python benchmarks/bench_kernels.py --cold    # first call in a fresh interpreter
 
 Each case is the full escalation loop (not a single fixed-precision
-pass), so the numbers reflect what scans actually pay.  The compiled
-backend must have been built for the comparison to appear.
+pass), so the numbers reflect what scans actually pay.  The warm table
+times every backend that is built and asserts that they agree; the
+compiled backend must have been built for a comparison to appear.
+
+The cold table times the first call in a new interpreter, after the
+imports, so it includes every cache the call fills (mpmath's constants
+and the kernel's own).  Each case runs in ``COLD_PROCESSES`` fresh
+interpreters; the table gives the fastest and the median.  One-shot
+command-line use pays these times.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import contangle
 from contangle import kernels
 from contangle.kernels import pure
 
@@ -34,6 +49,35 @@ COMPARISON_CASES = [
     (30, 1.0, 0.5, 2.0),
     (100, 1.0, 1.0, 1.0),
 ]
+
+#: (label, statement run once and timed in a fresh interpreter)
+COLD_CASES = [
+    ("residual(1000, 0, 1.15)", "kernels.residual_sum(1000, 0, 1.15)"),
+    ("residual(200, 5, 0.01)", "kernels.residual_sum(200, 5, 0.01)"),
+    ("residual(100, 0, 1e-30)", "kernels.residual_sum(100, 0, 1e-30)"),
+    ("residual(30, 2, 1e-300)", "kernels.residual_sum(30, 2, 1e-300)"),
+    (
+        "residual(3, 0, 0.5, min_precision=20000)",
+        "kernels.residual_sum(3, 0, 0.5, min_precision=20000)",
+    ),
+    (
+        "sweep --n 100:1000:4:log --rbar 1.15",
+        "cli.main.main(['sweep', '--n', '100:1000:4:log', '--rbar', '1.15'],"
+        " standalone_mode=False)",
+    ),
+]
+COLD_PROCESSES = 5
+
+_COLD_CHILD = """
+import contextlib, io, sys, time
+sys.path.insert(0, {path!r})
+from contangle import cli, kernels
+with contextlib.redirect_stdout(io.StringIO()):
+    start = time.perf_counter()
+    {statement}
+    elapsed = time.perf_counter() - start
+print(elapsed)
+"""
 
 
 def _time(fn, *args, repeats: int = 3) -> tuple[float, object]:
@@ -60,6 +104,20 @@ def _with_backend(module):
     return _Pin()
 
 
+def _row(label: str, fn, args, backends) -> None:
+    times = []
+    results = []
+    for _, module in backends:
+        with _with_backend(module):
+            best, value = _time(fn, *args)
+        times.append(best)
+        results.append(value)
+    assert all(v == results[0] for v in results[1:]), f"backends disagree at {args}"
+    row = "".join(f"{t * 1e3:>10.2f}ms" for t in times)
+    speedup = f"{times[-1] / times[0]:>9.1f}x" if len(times) > 1 else ""
+    print(f"{label:<28s}{row}{speedup}")
+
+
 def run() -> None:
     backends = [("python", pure)]
     if _sumcore is not None:
@@ -67,36 +125,41 @@ def run() -> None:
     else:
         print("compiled kernel not built; timing the pure backend only\n")
 
-    print(f"{'case':<28s}" + "".join(f"{name:>12s}" for name, _ in backends) + f"{'speedup':>10s}")
-    for case in RESIDUAL_CASES:
-        n, m, r = case
-        times = []
-        results = []
-        for _, module in backends:
-            with _with_backend(module):
-                best, value = _time(kernels.residual_sum, n, m, r)
-            times.append(best)
-            results.append(value)
-        assert all(v == results[0] for v in results[1:]), f"backends disagree at {case}"
-        label = f"residual({n}, {m}, {r})"
-        row = "".join(f"{t * 1e3:>10.2f}ms" for t in times)
-        speedup = f"{times[-1] / times[0]:>9.1f}x" if len(times) > 1 else ""
-        print(f"{label:<28s}{row}{speedup}")
-    for case in COMPARISON_CASES:
-        n, a, b, c = case
-        times = []
-        results = []
-        for _, module in backends:
-            with _with_backend(module):
-                best, value = _time(kernels.comparison_sum, n, a, b, c)
-            times.append(best)
-            results.append(value)
-        assert all(v == results[0] for v in results[1:]), f"backends disagree at {case}"
-        label = f"comparison({n}, {a}, {b}, {c})"
-        row = "".join(f"{t * 1e3:>10.2f}ms" for t in times)
-        speedup = f"{times[-1] / times[0]:>9.1f}x" if len(times) > 1 else ""
-        print(f"{label:<28s}{row}{speedup}")
+    speedup = f"{'speedup':>10s}" if len(backends) > 1 else ""
+    print(f"{'case':<28s}" + "".join(f"{name:>12s}" for name, _ in backends) + speedup)
+    for n, m, r in RESIDUAL_CASES:
+        _row(f"residual({n}, {m}, {r})", kernels.residual_sum, (n, m, r), backends)
+    for n, a, b, c in COMPARISON_CASES:
+        _row(f"comparison({n}, {a}, {b}, {c})", kernels.comparison_sum, (n, a, b, c), backends)
+
+
+def run_cold() -> dict[str, list[float]]:
+    """Time each cold case in fresh interpreters; print and return the times."""
+    path = str(Path(contangle.__file__).resolve().parent.parent)
+    print(f"backend {kernels.backend_name()}, {COLD_PROCESSES} fresh interpreters per case")
+    print(f"{'case':<44s}{'fastest':>12s}{'median':>12s}")
+    table = {}
+    for label, statement in COLD_CASES:
+        child = _COLD_CHILD.format(path=path, statement=statement)
+        times = [
+            float(subprocess.run(
+                [sys.executable, "-c", child], check=True, capture_output=True, text=True
+            ).stdout)
+            for _ in range(COLD_PROCESSES)
+        ]
+        table[label] = times
+        print(f"{label:<44s}{min(times) * 1e3:>10.1f}ms{statistics.median(times) * 1e3:>10.1f}ms")
+    print(json.dumps(table))
+    return table
 
 
 if __name__ == "__main__":
-    run()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--cold", action="store_true",
+        help="time the first call of each case in fresh interpreters",
+    )
+    if parser.parse_args().cold:
+        run_cold()
+    else:
+        run()

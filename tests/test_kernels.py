@@ -241,6 +241,136 @@ def test_frozen_extremes(n, m, r, mantissa, exp2):
     assert result.value == (math.ldexp(mantissa, exp2) if exp2 <= 1024 else math.inf)
 
 
+def _exact_ln(y, width, bits):
+    """``ln(y 2**-width) 2**bits`` in mpmath, 64 bits beyond ``bits``."""
+    with mpmath.mp.workprec(bits + 64):
+        return mpmath.ldexp(mpmath.log(mpmath.ldexp(y, -width)), bits)
+
+
+def test_ln_fixed_error_bound():
+    # _ln_fixed errs by less than K + 3 n + 6 units of 2**-p, with K the
+    # factor count and n <= p / (4 (K + 1)) + 1 the series steps: under
+    # 170 units at the cap.  The rounded logarithm of the pass errs by less
+    # than 0.5 + 170 / 2**_LOG_GUARD units of 2**-width, and past the cap,
+    # where mpf_log takes over, by less than 0.51
+    rng = random.Random(20261021)
+    cap_width = pure._LOG_CAP - pure._LOG_GUARD
+    widths = [2, 3, 5, 8, 13, 30, 64, 100, 190, 400, 1000, 2390, 5000]
+    widths += [cap_width, cap_width + 1, cap_width + 40]
+    for width in widths:
+        unit = 1 << width
+        ys = [unit, 2 * unit, 4 * unit, 4 * unit - 1, 4 * unit + 1, 2 * unit - 1]
+        ys += [rng.randrange(unit, 6 * unit) for _ in range(40 if width < 2000 else 4)]
+        p = width + pure._LOG_GUARD
+        for y in ys:
+            rounded = pure._log_fixed(y, width)
+            assert abs(rounded - _exact_ln(y, width, width)) < 0.5 + 170 / 2**pure._LOG_GUARD
+            if p > pure._LOG_CAP:
+                continue
+            k = pure._factors(p)
+            bound = k + 3 * (p // (4 * (k + 1)) + 1) + 6
+            assert bound < 170
+            assert abs(pure._ln_fixed(y, width, p) - _exact_ln(y, width, p)) < bound, (width, y)
+
+
+def test_ln_constants_cache_is_one_bounded_list(monkeypatch):
+    monkeypatch.setattr(pure, "_ln_cache", (0, []))
+    y, width = 5 << 60, 62  # ln(5/4)
+    first = pure._ln_fixed(y, width, 72)
+    for p in (72, 300, 301, 2000, 6000, pure._LOG_CAP):
+        pure._ln_fixed(y, width, p)
+        prec, table = pure._ln_cache
+        # at least the precision asked for, at most the cap
+        assert p <= prec <= pure._LOG_CAP
+        assert len(table) == pure._factors(prec) + 1 <= pure._LOG_FACTORS + 1
+    # a pass past the cap leaves the cache at the cap
+    pure.eval_residual(3, 0, 0.5, 3 * pure._LOG_CAP, top_exp2=1)
+    assert pure._ln_cache[0] == pure._LOG_CAP
+    # each entry is the exact floor of ln(1 + 2**-k) 2**prec, so a result
+    # at lower precision does not depend on what filled the cache
+    prec, table = pure._ln_cache
+    with mpmath.mp.workprec(prec + 64):
+        for k, entry in enumerate(table):
+            assert entry == int(mpmath.floor(mpmath.ldexp(mpmath.log1p(mpmath.ldexp(1, -k)), prec)))
+    assert pure._ln_fixed(y, width, 72) == first
+
+
+# (N, M, r) -> (value, mantissa, exp2, precision) of the pass that took each
+# logarithm with mpf_log: the twelve deep-sweep points of the benchmark, and
+# a seeded grid with N 2-200, M 0-20 and r 0.01-5
+FROZEN_DEEP_SWEEP = [
+    (100, 0, 1.15, 0.0031897192860785946, 0.8165681372361202, -8, 196),
+    (215, 0, 1.15, 3.1220640126454358e-06, 0.8184303485309251, -18, 311),
+    (464, 0, 1.15, 1.5165997388901247e-12, 0.8337595237958688, -39, 571),
+    (1000, 0, 1.15, 6.13969489979121e-26, 0.5937948551131078, -83, 1152),
+    (100, 0, 0.6, 1.305082407303902e-15, 0.7346960804027054, -49, 217),
+    (215, 0, 0.6, 1.7415369746409385e-32, 0.7064513251914369, -105, 388),
+    (464, 0, 0.6, 7.877904291245144e-69, 0.849551518163545, -226, 758),
+    (100, 0, 0.3, 3.007302446853569e-39, 0.5116659973312311, -127, 295),
+    (215, 0, 0.3, 3.8149045190623505e-83, 0.5789919012495144, -273, 556),
+    (464, 0, 0.3, 5.345845962049225e-178, 0.5415691173916711, -588, 1120),
+    (100, 0, 0.1, 8.286769090629954e-85, 0.8049224264712252, -279, 444),
+    (215, 0, 0.1, 5.171534570757268e-181, 0.5364840804090891, -598, 879),
+]
+FROZEN_GRID = [
+    (141, 12, 0.3684, 3.685357117019604e-53, 0.8824677106767048, -174, 383),
+    (4, 12, 0.1234, 2.6034227982720782e-06, 0.6824716660302357, -18, 100),
+    (165, 20, 0.0426, 7.516990243268871e-209, 0.7722732470743638, -691, 920),
+    (104, 12, 0.01001, 7.194919815509716e-197, 0.6722845574515982, -651, 813),
+    (58, 0, 0.01398, 4.880802936399561e-99, 0.667221235010187, -326, 443),
+    (161, 18, 0.4992, 5.435545143470217e-49, 0.794405812696776, -160, 389),
+    (32, 14, 0.1267, 1.097979306524872e-30, 0.6959270634772146, -99, 196),
+    (29, 9, 1.077, 2.753143842144392e-10, 0.5912331381596975, -31, 127),
+    (174, 8, 1.416, 3.2319418659039754e-16, 0.7277686091484125, -51, 294),
+    (38, 4, 0.02088, 2.614522883128589e-60, 0.5251720360606289, -197, 296),
+    (168, 1, 0.02034, 6.44423186720026e-258, 0.7740828670676078, -854, 1084),
+    (14, 8, 0.02879, 5.393530585166603e-23, 0.5094045611944614, -73, 146),
+    (192, 0, 2.136, 2.67656150229777, 0.6691403755744425, 2, 288),
+    (144, 11, 0.05688, 8.89003982562526e-162, 0.9998880701385968, -535, 743),
+    (29, 4, 0.01901, 8.717442215975101e-48, 0.7962847544990715, -156, 244),
+    (120, 2, 2.044, 2.2615015699595937e-05, 0.7410488344443596, -15, 216),
+    (27, 18, 0.03815, 3.632511758778465e-41, 0.7910910074529773, -134, 221),
+    (103, 20, 0.01806, 8.06454666658566e-172, 0.7791435799786008, -568, 731),
+    (100, 13, 1.542, 7.483924069856674e-19, 0.8628376998982554, -60, 228),
+    (169, 0, 0.0265, 1.3793725969164562e-239, 0.7185684675435856, -793, 1025),
+    (144, 8, 0.5458, 7.2969442278345194e-34, 0.9471975147772255, -110, 323),
+    (200, 19, 0.4104, 2.1405949925448773e-69, 0.9233652293596738, -228, 495),
+    (20, 8, 0.2646, 8.552870494896979e-14, 0.75231844480012, -43, 129),
+    (192, 19, 0.07577, 9.604047174432269e-194, 0.8763578984437892, -641, 898),
+    (67, 10, 0.8203, 1.7194216054815604e-16, 0.7743586501739536, -52, 187),
+    (13, 16, 0.05381, 4.556724920224963e-20, 0.8405673841768446, -64, 137),
+    (66, 2, 0.2488, 1.8912753506994236e-32, 0.7671924267235134, -105, 238),
+    (186, 2, 0.4344, 1.042623529652274e-48, 0.7618979978532618, -159, 413),
+    (144, 6, 0.05743, 6.655113222691115e-159, 0.730976090864548, -525, 734),
+    (60, 6, 0.01417, 1.2813800221202838e-104, 0.918388533528187, -345, 464),
+    (3, 17, 0.1815, 3.8926398906908556e-05, 0.6377701196907898, -14, 99),
+    (48, 4, 0.02282, 1.1671274272173491e-73, 0.8248542676005283, -242, 351),
+    (133, 15, 0.2355, 7.536756749050462e-74, 0.5326518616003395, -242, 443),
+    (46, 17, 0.06858, 4.6381991013135503e-54, 0.8885024300513986, -177, 286),
+    (113, 7, 0.1975, 2.1338061140456945e-67, 0.7190912379088985, -221, 400),
+    (132, 11, 3.637, 5.805163709676574e-18, 0.8366122598311726, -57, 258),
+    (117, 1, 0.02629, 4.3457137640312455e-167, 0.6406468927532698, -552, 730),
+    (65, 8, 0.0606, 3.4856887494175004e-73, 0.6158678935639348, -240, 370),
+    (95, 14, 0.5177, 6.232887992445857e-31, 0.7901124204779314, -100, 262),
+    (25, 8, 0.1745, 6.110022629325129e-20, 0.5635501186386729, -63, 153),
+]
+
+
+@pytest.mark.parametrize(
+    "n,m,r,value,mantissa,exp2,precision",
+    FROZEN_DEEP_SWEEP + FROZEN_GRID,
+    ids=[f"{n}-{m}-{r}" for n, m, r, *_ in FROZEN_DEEP_SWEEP + FROZEN_GRID],
+)
+def test_shift_add_log_reproduces_the_mpf_log_pass(n, m, r, value, mantissa, exp2, precision):
+    result = residual_sum(n, m, r)
+    assert (result.value, result.mantissa, result.exp2, result.precision) == (
+        value,
+        mantissa,
+        exp2,
+        precision,
+    )
+
+
 def test_error_bound_gives_the_nearest_double():
     # the half-bits rule accepted this at 72 bits with ~33 bits left;
     # reference 1.275744375752709765e-10
