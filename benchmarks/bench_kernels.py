@@ -12,8 +12,10 @@ compiled backend must have been built for a comparison to appear.
 
 The cold table times the first call in a new interpreter, after the
 imports, so it includes every cache the call fills (mpmath's constants
-and the kernel's own).  Each case runs in ``COLD_PROCESSES`` fresh
-interpreters; the table gives the fastest and the median.  One-shot
+and the kernel's own).  Its first row times the imports themselves,
+``from contangle import cli``.  Each row runs in ``COLD_PROCESSES`` fresh
+interpreters; the table gives the fastest, the median and the slowest,
+and whether numpy was loaded once the row's statement had run.  One-shot
 command-line use pays these times.
 """
 
@@ -56,9 +58,11 @@ COLD_CASES = [
     ("residual(200, 5, 0.01)", "kernels.residual_sum(200, 5, 0.01)"),
     ("residual(100, 0, 1e-30)", "kernels.residual_sum(100, 0, 1e-30)"),
     ("residual(30, 2, 1e-300)", "kernels.residual_sum(30, 2, 1e-300)"),
-    (
-        "residual(3, 0, 0.5, min_precision=20000)",
-        "kernels.residual_sum(3, 0, 0.5, min_precision=20000)",
+    ("residual(7, 0, 1e-300)", "kernels.residual_sum(7, 0, 1e-300)"),
+    *(
+        (f"residual({n}, 0, 0.5, min_precision={p})",
+         f"kernels.residual_sum({n}, 0, 0.5, min_precision={p})")
+        for n, p in ((3, 2400), (3, 8000), (20, 8000), (3, 20000))
     ),
     (
         "sweep --n 100:1000:4:log --rbar 1.15",
@@ -68,15 +72,18 @@ COLD_CASES = [
 ]
 COLD_PROCESSES = 5
 
+#: prints the seconds of the imports, of the statement, and whether numpy
+#: was loaded after it
 _COLD_CHILD = """
 import contextlib, io, sys, time
 sys.path.insert(0, {path!r})
+start = time.perf_counter()
 from contangle import cli, kernels
+imported = time.perf_counter()
 with contextlib.redirect_stdout(io.StringIO()):
-    start = time.perf_counter()
     {statement}
-    elapsed = time.perf_counter() - start
-print(elapsed)
+done = time.perf_counter()
+print(imported - start, done - imported, "numpy" in sys.modules)
 """
 
 
@@ -133,22 +140,34 @@ def run() -> None:
         _row(f"comparison({n}, {a}, {b}, {c})", kernels.comparison_sum, (n, a, b, c), backends)
 
 
-def run_cold() -> dict[str, list[float]]:
-    """Time each cold case in fresh interpreters; print and return the times."""
+def _cold_runs(path: str, statement: str) -> list[tuple[float, float, bool]]:
+    child = _COLD_CHILD.format(path=path, statement=statement)
+    runs = []
+    for _ in range(COLD_PROCESSES):
+        out = subprocess.run(
+            [sys.executable, "-c", child], check=True, capture_output=True, text=True
+        ).stdout.split()
+        runs.append((float(out[0]), float(out[1]), out[2] == "True"))
+    return runs
+
+
+def run_cold() -> dict[str, dict]:
+    """Time the imports and each cold case in fresh interpreters; print
+    and return the times and whether numpy was loaded."""
     path = str(Path(contangle.__file__).resolve().parent.parent)
-    print(f"backend {kernels.backend_name()}, {COLD_PROCESSES} fresh interpreters per case")
-    print(f"{'case':<44s}{'fastest':>12s}{'median':>12s}")
+    print(f"backend {kernels.backend_name()}, {COLD_PROCESSES} fresh interpreters per row")
+    print(f"{'case':<44s}{'fastest':>12s}{'median':>12s}{'slowest':>12s}{'numpy':>7s}")
+    rows = [("from contangle import cli", "pass", 0)] + [(label, statement, 1) for label, statement in COLD_CASES]
     table = {}
-    for label, statement in COLD_CASES:
-        child = _COLD_CHILD.format(path=path, statement=statement)
-        times = [
-            float(subprocess.run(
-                [sys.executable, "-c", child], check=True, capture_output=True, text=True
-            ).stdout)
-            for _ in range(COLD_PROCESSES)
-        ]
-        table[label] = times
-        print(f"{label:<44s}{min(times) * 1e3:>10.1f}ms{statistics.median(times) * 1e3:>10.1f}ms")
+    for label, statement, column in rows:
+        runs = _cold_runs(path, statement)
+        times = [run[column] for run in runs]
+        numpy = any(run[2] for run in runs)
+        table[label] = {"seconds": times, "numpy": numpy}
+        print(
+            f"{label:<44s}{min(times) * 1e3:>10.1f}ms{statistics.median(times) * 1e3:>10.1f}ms"
+            f"{max(times) * 1e3:>10.1f}ms{'yes' if numpy else 'no':>7s}"
+        )
     print(json.dumps(table))
     return table
 

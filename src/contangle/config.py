@@ -21,6 +21,7 @@ __all__ = [
     "GUARD_BITS",
     "JUMP_SLACK",
     "MAX_PRECISION",
+    "MAX_BIT_TERMS",
     "ENV_PRECISION",
     "ENV_BACKEND",
     "default_min_precision",
@@ -76,6 +77,17 @@ GUARD_BITS = 4
 JUMP_SLACK = 8
 #: escalation gives up here; reaching it means the request is absurd
 MAX_PRECISION = 1 << 22
+#: cost budget of one residual pass, in bit-terms (working precision times
+#: the N - 1 terms); a pass above it raises ValueError instead of running.
+#: The predicted precision grows as about N log2(1/r_bar), so the cost has
+#: no bound at tiny squeezing: (1000, 0, 5e-324) would be 1.07e9 bit-terms
+#: and ran past 100 s.  Measured single calls on a 2-vCPU Xeon, pure
+#: backend: (1000, 0, 0.05), the heaviest in the test-suite, 4.8e6
+#: bit-terms in 0.7 s; (3000, 0, 0.5) 1.5e7 in 1.8 s; (1000, 0, 0.001)
+#: 1.0e7 in 12 s; (2000, 0, 0.05) 1.9e7 in 22 s; (136, 0, 5e-324) 1.9e7,
+#: at 144,052 bits, in 121 s.  A bit-term costs more at higher precision,
+#: so the budget bounds a call's time only together with MAX_PRECISION.
+MAX_BIT_TERMS = 20_000_000
 
 ENV_PRECISION = "CONTANGLE_PRECISION_BITS"
 ENV_BACKEND = "CONTANGLE_BACKEND"

@@ -11,6 +11,10 @@ momentum squeezing ``r_p`` applied to every mode and a collective momentum
 (anti)squeezing ``r_m`` of the joint quadratures.  Their arithmetic mean
 ``r_bar`` is the only combination entering reduced-state quantities, which
 is why most of the package accepts ``r_bar`` alone.
+
+NumPy is imported inside the functions that build or inspect a matrix,
+not here: the residual and fidelity paths never need it, and importing it
+is about a third of a command-line call's start-up.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import TOL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SqueezingParams",
@@ -97,6 +103,8 @@ class CovarianceMatrix:
     data: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         arr = np.array(self.data, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -120,6 +128,8 @@ class CovarianceMatrix:
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """The matrix of Poisson brackets in (x..., p...) ordering."""
+    import numpy as np
+
     n = operator.index(n_modes)
     if n < 1:
         raise ValueError(f"need at least one mode, got {n}")
@@ -147,6 +157,8 @@ def build_pure_symmetric_cm(
             "construction needs r_m and r_p, not just their mean; "
             "use solve_standard_form to split a mean"
         )
+    import numpy as np
+
     r_m, r_p = squeezing.r_m, squeezing.r_p
     ones = np.ones((n, n)) / n
     eye = np.eye(n)
@@ -202,6 +214,8 @@ def partial_trace(cm: CovarianceMatrix, keep) -> CovarianceMatrix:
     submatrix of both quadrature blocks.  Mode order in the result follows
     the order of ``keep``.
     """
+    import numpy as np
+
     modes = [operator.index(k) for k in keep]
     if not modes:
         raise ValueError("keep at least one mode")
@@ -227,6 +241,8 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
     ``1 - TOL.physicality`` signal an unphysical matrix but are returned
     rather than raised, so callers can inspect them.
     """
+    import numpy as np
+
     evals, vecs = np.linalg.eigh(cm.data)
     if evals[0] <= 0.0:
         raise ArithmeticError(
@@ -240,6 +256,8 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
 
 def purity(cm: CovarianceMatrix) -> float:
     """Purity of the Gaussian state, the inverse square root determinant."""
+    import numpy as np
+
     sign, logdet = np.linalg.slogdet(cm.data)
     if sign <= 0.0:
         raise ArithmeticError("covariance determinant must be positive")

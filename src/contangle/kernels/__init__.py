@@ -264,6 +264,14 @@ def residual_sum(
     fully symmetric state with mean squeezing ``r_bar``.  Evaluated as the
     alternating binomial sum over the one-versus-block terms, at whatever
     precision the cancellation demands.
+
+    The cancellation, and with it the cost, grows as about
+    ``n_kept * log2(1 / r_bar)``.  A pass whose precision times its
+    ``n_kept - 1`` terms exceeds ``config.MAX_BIT_TERMS`` (2e7 bit-terms)
+    raises ValueError instead of running.  ``(1000, 0, 0.05)`` is 4.8e6
+    bit-terms and ``(1000, 0, 1e-10)`` 3.4e7; at the predicted precision
+    the dearest call under the budget, near ``(136, 0, 5e-324)``, takes
+    about two minutes on a 2-vCPU Xeon.
     """
     n = operator.index(n_kept)
     m = operator.index(n_traced)
@@ -282,9 +290,18 @@ def residual_sum(
         cancelled, top_exp2 = profile
         predicted = cancelled + config.required_bits(n) + config.JUMP_SLACK
         prec = min(config.MAX_PRECISION, max(prec, predicted))
-    return _escalate(
-        lambda prec: _BACKEND.eval_residual(n, m, r, prec, top_exp2=top_exp2), n, prec
-    )
+
+    def evaluate(prec: int):
+        # at r = 0 every term vanishes and the pass costs nothing
+        if r and prec * (n - 1) > config.MAX_BIT_TERMS:
+            raise ValueError(
+                f"residual of {n} kept modes at r_bar={r} needs a pass of {prec} bits "
+                f"over {n - 1} terms, {prec * (n - 1):.3g} bit-terms, above the budget "
+                f"of {config.MAX_BIT_TERMS:.3g}"
+            )
+        return _BACKEND.eval_residual(n, m, r, prec, top_exp2=top_exp2)
+
+    return _escalate(evaluate, n, prec)
 
 
 def comparison_sum(

@@ -28,8 +28,9 @@ the sum of the ``T_j`` is exact.  Each term needs one logarithm and one
   varies with ``d`` up to ``N`` times as fast;
 * ``ln y`` is taken in integers by shift and add (:func:`_ln_fixed`) at
   ``p = G_j + 10`` bits, with no table beyond one cached list of
-  ``ln(1 + 2**-k)``, and rounded to ``G_j`` bits.  Past ``p = _LOG_CAP``
-  it is ``mpf_log`` at ``G_j + 8`` bits, rounded the same way.
+  ``ln(1 + 2**-k)``, and rounded to ``G_j`` bits.  Past the pass's cap
+  (:func:`_log_cap`, at most ``_LOG_CAP``) it is ``mpf_log`` at
+  ``G_j + 8`` bits, rounded the same way.
 
 The logarithm errs by less than 170 units of ``2**-p``, i.e. 0.17 units
 of ``2**-G_j``, and its rounding adds 0.5; past the cap ``mpf_log`` errs
@@ -85,6 +86,9 @@ _LOG_FACTORS = 96
 #: Xeon, which a one-shot pass with few terms pays in full.  Per term, shift
 #: and add is still about 3x faster than the AGM at 20,000 bits.
 _LOG_CAP = 8192
+#: fewest terms for which a pass takes logarithms up to ``_LOG_CAP`` by
+#: shift and add (see :func:`_log_cap`)
+_LOG_FULL_TERMS = 6
 
 #: ``(P, [floor(ln(1 + 2**-k) 2**P) for k = 0 .. _factors(P)])``, one list
 #: at the highest precision ``P <= _LOG_CAP`` filled so far.  The entries are
@@ -228,14 +232,31 @@ def _ln_fixed(y: int, width: int, p: int) -> int:
     return (k0 + 1) * (table[0] >> shift) - 2 * atanh - used
 
 
-def _log_fixed(y: int, width: int) -> int:
+def _log_cap(terms: int) -> int:
+    """Widest logarithm (``p``, bits) that a pass of ``terms`` terms takes
+    by shift and add.
+
+    A fresh process pays for the constants once, about ``p**2`` work, and a
+    pass with few terms cannot earn that back.  Timed as first calls in
+    fresh interpreters (2-vCPU Xeon), shift and add makes a 2-term pass
+    slower than ``mpf_log`` from about 1,000 bits on, a 6-term pass breaks
+    even (0.8-1.2x) up to ``_LOG_CAP``, and passes of 11 or more terms
+    gain everywhere.  So each term fewer than ``_LOG_FULL_TERMS`` halves
+    the cap.  The cap depends on the pass alone, never on what the cache
+    holds, and both logarithms round to the same integers, so no result
+    depends on what ran before.
+    """
+    return _LOG_CAP >> max(0, _LOG_FULL_TERMS - terms)
+
+
+def _log_fixed(y: int, width: int, cap: int = _LOG_CAP) -> int:
     """``ln(y 2**-width) 2**width``, rounded half up to an integer.
 
-    Shift and add at ``width + _LOG_GUARD`` bits up to the cap, ``mpf_log``
+    Shift and add at ``width + _LOG_GUARD`` bits up to ``cap``, ``mpf_log``
     past it.
     """
     p = width + _LOG_GUARD
-    if p <= _LOG_CAP:
+    if p <= cap:
         return (_ln_fixed(y, width, p) + (1 << (_LOG_GUARD - 1))) >> _LOG_GUARD
     return _fixed(mpf_log(from_man_exp(y, -width), width + 8, round_nearest), width)
 
@@ -260,9 +281,10 @@ def eval_residual(n_kept: int, n_traced: int, r_bar: float, prec: int, *, top_ex
     else:  # d < 2**-(hi + 2) rounds to zero
         d = 0
     one = 1 << max(hi, 0)
-    if frac + _GUARD + _LOG_GUARD < _LOG_CAP:
+    cap = _log_cap(n - 1)
+    if frac + _GUARD + _LOG_GUARD < cap:
         # fill the constants once, for the widest shift-and-add logarithm
-        _ln_constants(min(frac + widest + _GUARD + _LOG_GUARD, _LOG_CAP))
+        _ln_constants(min(frac + widest + _GUARD + _LOG_GUARD, cap))
     e_sq = (one - d) ** 2
     total = 0
     observed = 0
@@ -281,7 +303,7 @@ def eval_residual(n_kept: int, n_traced: int, r_bar: float, prec: int, *, top_ex
             w = e_sq * (n - 1 - j) // (den << (hi - width))
             unit = 1 << width
             y = unit + 2 * w + 2 * math.isqrt(w * (unit + w))
-            log_y = _log_fixed(y, width)
+            log_y = _log_fixed(y, width, cap)
             shift = 2 * width + 2 - frac
             term = (binom * log_y * log_y + (1 << (shift - 1))) >> shift
         else:  # below 2**-_GUARD units

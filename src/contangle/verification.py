@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import formulas, gaussian, monogamy, teleportation
 from .config import TOL
 from .kernels import compare, residual_sum
@@ -147,6 +145,8 @@ def suite_coincidence() -> SuiteReport:
 def suite_oracle() -> SuiteReport:
     """Closed-form reduced determinants match determinants of explicitly
     constructed covariance matrices for every reduction size."""
+    import numpy as np
+
     col = _Collector("oracle")
     r_values = [0.0] + [0.25 * k for k in range(1, 9)]
     for n in range(2, 13):

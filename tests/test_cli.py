@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import contangle
 from contangle.cli import main, parse_float_range, parse_int_range
 
 CSV_HEADER = "N,M,r_bar,r_db,residual,fidelity"
@@ -106,6 +110,13 @@ def test_precision_bits_are_validated():
     plain = run("residual", "--n", "3", "--rbar", "0.5")
     raised = run("residual", "--n", "3", "--rbar", "0.5", "--precision-bits", "512")
     assert raised.exit_code == 0 and raised.output == plain.output
+
+
+def test_residual_above_the_cost_budget_is_a_usage_error():
+    result = run("residual", "--n", "1000", "--rbar", "5e-324")
+    assert result.exit_code == 2
+    assert "budget" in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
 
 
 def test_residual_usage_errors():
@@ -220,6 +231,39 @@ def test_verify_suite_passes():
 
 def test_verify_rejects_unknown_suite():
     assert run("verify", "nonsense").exit_code == 2
+
+
+_NUMPY_PROBE = """
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+from contangle import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["residual", "--n", "5", "--m", "1", "--rbar", "0.5", "-v"],
+        ["fidelity", "--n", "4", "--fidelity", "0.7"],
+        ["sweep", "--n", "2:6", "--rbar", "0.1:1.0:3", "--format", "json"],
+    ):
+        cli.main.main(argv, standalone_mode=False)
+print("numpy" in sys.modules)
+import contangle
+contangle.build_pure_symmetric_cm(3, contangle.solve_standard_form(0.5, 3))
+print("numpy" in sys.modules)
+"""
+
+
+def test_cli_commands_do_not_import_numpy():
+    # numpy serves only the covariance matrices of contangle.gaussian and
+    # the oracle suite; importing it is a third of a command's start-up.
+    # A fresh interpreter, since this one has loaded numpy long ago
+    src = str(Path(contangle.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE.format(src=src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["False", "True"]
 
 
 def test_parse_int_range():

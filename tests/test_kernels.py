@@ -295,6 +295,25 @@ def test_ln_constants_cache_is_one_bounded_list(monkeypatch):
     assert pure._ln_fixed(y, width, 72) == first
 
 
+def test_few_term_passes_leave_the_constants_unfilled(monkeypatch):
+    # a fresh process pays the constants once per pass that needs them; a
+    # pass with few terms takes mpf_log instead, from a cap that depends on
+    # its term count alone
+    assert [pure._log_cap(t) for t in range(1, 9)] == [
+        256, 512, 1024, 2048, 4096, 8192, 8192, 8192
+    ]
+    monkeypatch.setattr(pure, "_ln_cache", (0, []))
+    cold = [residual_sum(3, 0, 0.5, min_precision=p) for p in (2400, 8000)]
+    assert pure._ln_cache == (0, [])
+    # seven kept modes at r = 1e-300 take about 7,060-bit logarithms
+    deep = residual_sum(7, 0, 1e-300)
+    assert 7000 < pure._ln_cache[0] <= pure._LOG_CAP
+    # a full cache changes no result
+    pure._ln_constants(pure._LOG_CAP)
+    assert [residual_sum(3, 0, 0.5, min_precision=p) for p in (2400, 8000)] == cold
+    assert residual_sum(7, 0, 1e-300) == deep
+
+
 # (N, M, r) -> (value, mantissa, exp2, precision) of the pass that took each
 # logarithm with mpf_log: the twelve deep-sweep points of the benchmark, and
 # a seeded grid with N 2-200, M 0-20 and r 0.01-5
@@ -417,6 +436,35 @@ def test_validation():
         residual_sum(3, 0, math.nan)
     with pytest.raises(TypeError):
         residual_sum(3.5, 0, 0.5)
+
+
+@pytest.mark.parametrize("n,r", [(1000, 5e-324), (1000, 1e-100), (1000, 1e-10)])
+def test_cost_budget_refuses_tiny_squeezing_at_many_modes(monkeypatch, n, r):
+    # 1.07e9, 3.3e8 and 3.4e7 bit-terms: refused before any pass runs
+    passes = _record_passes(monkeypatch)
+    with pytest.raises(ValueError, match="budget"):
+        residual_sum(n, 0, r)
+    assert passes == []
+
+
+def test_cost_budget_boundary(monkeypatch):
+    passes = _record_passes(monkeypatch)
+    expected = residual_sum(10, 0, 0.8)
+    cost = passes[0][0] * 9  # the one pass, at its precision over 9 terms
+    monkeypatch.setattr(config, "MAX_BIT_TERMS", cost)
+    assert residual_sum(10, 0, 0.8) == expected
+    monkeypatch.setattr(config, "MAX_BIT_TERMS", cost - 1)
+    with pytest.raises(ValueError, match="budget"):
+        residual_sum(10, 0, 0.8)
+    # an exact zero costs nothing, at any size
+    assert residual_sum(10**6, 0, 0.0).is_zero
+
+
+def test_heaviest_tested_call_is_well_under_the_budget(monkeypatch):
+    passes = _record_passes(monkeypatch)
+    residual_sum(1000, 0, 0.05)
+    assert [prec * 999 for prec, _ in passes] == [4829166]
+    assert 4 * 4829166 < config.MAX_BIT_TERMS
 
 
 @pytest.mark.parametrize(
