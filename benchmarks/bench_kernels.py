@@ -7,8 +7,7 @@ Run as a script::
 
 Each case is the full escalation loop (not a single fixed-precision
 pass), so the numbers reflect what scans actually pay.  The warm table
-times every backend that is built and asserts that they agree; the
-compiled backend must have been built for a comparison to appear.
+gives the best of three calls per case.
 
 The cold table times the first call in a new interpreter, after the
 imports, so it includes every cache the call fills (mpmath's constants
@@ -31,12 +30,6 @@ from pathlib import Path
 
 import contangle
 from contangle import kernels
-from contangle.kernels import pure
-
-try:
-    from contangle.kernels import _sumcore
-except ImportError:
-    _sumcore = None
 
 RESIDUAL_CASES = [
     (10, 0, 0.8),
@@ -87,57 +80,25 @@ print(imported - start, done - imported, "numpy" in sys.modules)
 """
 
 
-def _time(fn, *args, repeats: int = 3) -> tuple[float, object]:
+def _time(fn, *args, repeats: int = 3) -> float:
     best = float("inf")
-    value = None
     for _ in range(repeats):
         start = time.perf_counter()
-        value = fn(*args)
+        fn(*args)
         best = min(best, time.perf_counter() - start)
-    return best, value
+    return best
 
 
-def _with_backend(module):
-    """Temporarily pin the kernel dispatch to one backend module."""
-    original = kernels._BACKEND
-
-    class _Pin:
-        def __enter__(self):
-            kernels._BACKEND = module
-
-        def __exit__(self, *exc):
-            kernels._BACKEND = original
-
-    return _Pin()
-
-
-def _row(label: str, fn, args, backends) -> None:
-    times = []
-    results = []
-    for _, module in backends:
-        with _with_backend(module):
-            best, value = _time(fn, *args)
-        times.append(best)
-        results.append(value)
-    assert all(v == results[0] for v in results[1:]), f"backends disagree at {args}"
-    row = "".join(f"{t * 1e3:>10.2f}ms" for t in times)
-    speedup = f"{times[-1] / times[0]:>9.1f}x" if len(times) > 1 else ""
-    print(f"{label:<28s}{row}{speedup}")
+def _row(label: str, fn, args) -> None:
+    print(f"{label:<28s}{_time(fn, *args) * 1e3:>10.2f}ms")
 
 
 def run() -> None:
-    backends = [("python", pure)]
-    if _sumcore is not None:
-        backends.insert(0, ("native", _sumcore))
-    else:
-        print("compiled kernel not built; timing the pure backend only\n")
-
-    speedup = f"{'speedup':>10s}" if len(backends) > 1 else ""
-    print(f"{'case':<28s}" + "".join(f"{name:>12s}" for name, _ in backends) + speedup)
+    print(f"{'case':<28s}{'best':>12s}")
     for n, m, r in RESIDUAL_CASES:
-        _row(f"residual({n}, {m}, {r})", kernels.residual_sum, (n, m, r), backends)
+        _row(f"residual({n}, {m}, {r})", kernels.residual_sum, (n, m, r))
     for n, a, b, c in COMPARISON_CASES:
-        _row(f"comparison({n}, {a}, {b}, {c})", kernels.comparison_sum, (n, a, b, c), backends)
+        _row(f"comparison({n}, {a}, {b}, {c})", kernels.comparison_sum, (n, a, b, c))
 
 
 def _cold_runs(path: str, statement: str) -> list[tuple[float, float, bool]]:

@@ -8,9 +8,8 @@ residual columns are printed from the exponent-exact result so values far
 below the double range survive the trip through text.
 
 Squeezing can be given directly (``--rbar``) or in decibels (``--db``),
-with ``r_db = (20 / ln 10) * r_bar``.  The environment variables
-``CONTANGLE_PRECISION_BITS`` (minimum working precision) and
-``CONTANGLE_BACKEND`` (``native`` or ``python``) tune the kernels.
+with ``r_db = (20 / ln 10) * r_bar``.  The environment variable
+``CONTANGLE_PRECISION_BITS`` sets the kernels' minimum working precision.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ __all__ = [
     "JUMP_SLACK",
     "MAX_PRECISION",
     "MAX_BIT_TERMS",
+    "PRECISION_KNEE",
     "ENV_PRECISION",
-    "ENV_BACKEND",
     "default_min_precision",
     "starting_precision",
     "required_bits",
@@ -78,19 +78,29 @@ JUMP_SLACK = 8
 #: escalation gives up here; reaching it means the request is absurd
 MAX_PRECISION = 1 << 22
 #: cost budget of one residual pass, in bit-terms (working precision times
-#: the N - 1 terms); a pass above it raises ValueError instead of running.
-#: The predicted precision grows as about N log2(1/r_bar), so the cost has
-#: no bound at tiny squeezing: (1000, 0, 5e-324) would be 1.07e9 bit-terms
-#: and ran past 100 s.  Measured single calls on a 2-vCPU Xeon, pure
-#: backend: (1000, 0, 0.05), the heaviest in the test-suite, 4.8e6
-#: bit-terms in 0.7 s; (3000, 0, 0.5) 1.5e7 in 1.8 s; (1000, 0, 0.001)
-#: 1.0e7 in 12 s; (2000, 0, 0.05) 1.9e7 in 22 s; (136, 0, 5e-324) 1.9e7,
-#: at 144,052 bits, in 121 s.  A bit-term costs more at higher precision,
-#: so the budget bounds a call's time only together with MAX_PRECISION.
+#: the N - 1 terms, weighted above PRECISION_KNEE); a pass above it raises
+#: ValueError instead of running.  The predicted precision grows as about
+#: N log2(1/r_bar), so the cost has no bound at tiny squeezing:
+#: (1000, 0, 5e-324) would be 1.07e9 bit-terms and ran past 100 s.
+#: Measured single calls on a 2-vCPU Xeon: (1000, 0, 0.05), the heaviest
+#: in the test-suite, 4.8e6 bit-terms in 0.7 s; (3000, 0, 0.5) 1.5e7 in
+#: 1.8 s; (1000, 0, 0.001) 1.0e7 in 12 s; (2000, 0, 0.05) 1.9e7, at 9,603
+#: bits, in 22 s.
 MAX_BIT_TERMS = 20_000_000
+#: precision above which a bit-term is charged ``prec / PRECISION_KNEE``
+#: times: the logarithm (the AGM past a few thousand bits) and mpmath's
+#: ``exp``, ``sinh`` and ``asinh`` grow dearer per bit as the precision
+#: grows.  (3, 0, 0.5) took 0.23, 0.66, 2.2, 8.5 and 152 s at explicit
+#: precisions of 2**15, 2**16, 2**17, 2**18 and 2**20 bits, although the
+#: last is only 2.1e6 bit-terms; weighted, it is 6.7e7 and refused, as is
+#: (136, 0, 5e-324) at 144,052 bits (8.5e7), which took 121 s.  The dearest
+#: call still accepted, two modes at an explicit 809,543 bits
+#: ((2, 0, 0.5, min_precision=809543), 2.0e7 weighted), took 66 s; at the
+#: largest accepted precision for 3, 5, 20, 100 and 611 modes it took 43,
+#: 32, 28, 32 and 38 s.
+PRECISION_KNEE = 1 << 15
 
 ENV_PRECISION = "CONTANGLE_PRECISION_BITS"
-ENV_BACKEND = "CONTANGLE_BACKEND"
 
 
 def _checked_precision(value, source: str) -> int:

@@ -34,18 +34,14 @@ range.  The kernels therefore:
   *and* an exponent-exact ``mantissa * 2**exp2`` view, so magnitudes below
   the double range stay ordered and printable.
 
-Two interchangeable backends exist: a compiled MPFR kernel (built at
-install time when the MPFR/GMP headers are available) and a pure-Python
-one (Python integers plus :mod:`mpmath`).  Selection happens at import; set the environment
-variable ``CONTANGLE_BACKEND`` to ``native`` or ``python`` to force a
-choice, anything else defaults to the compiled kernel when present.
+Each pass is evaluated by :mod:`contangle.kernels.pure`, in Python
+integers plus :mod:`mpmath`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 import mpmath
@@ -53,53 +49,22 @@ import mpmath
 from .. import config
 from . import pure
 
-try:
-    from . import _sumcore
-except ImportError:  # compiled kernel not built; the pure backend covers it
-    _sumcore = None
-
 __all__ = [
     "SumResult",
     "compare",
     "residual_sum",
     "comparison_sum",
     "backend_name",
-    "available_backends",
 ]
 
-
-def _resolve(choice: str):
-    """Map a backend choice string to (module, name); '' means automatic."""
-    choice = choice.strip().lower()
-    if choice in ("", "auto"):
-        if _sumcore is not None:
-            return _sumcore, "native"
-        return pure, "python"
-    if choice == "native":
-        if _sumcore is None:
-            raise ImportError(
-                f"{config.ENV_BACKEND}=native requested but the compiled "
-                "kernel is not available; rebuild with MPFR/GMP installed"
-            )
-        return _sumcore, "native"
-    if choice == "python":
-        return pure, "python"
-    raise ValueError(
-        f"unrecognized {config.ENV_BACKEND} value {choice!r}; "
-        "use 'native', 'python' or 'auto'"
-    )
-
-
-_BACKEND, _BACKEND_NAME = _resolve(os.environ.get(config.ENV_BACKEND, ""))
+#: kept for ``perfbench/tracer.py``, which patches the pass functions
+#: ``eval_residual`` and ``eval_comparison`` through this name
+_BACKEND = pure
 
 
 def backend_name() -> str:
-    """Name of the backend selected at import ('native' or 'python')."""
-    return _BACKEND_NAME
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("native", "python") if _sumcore is not None else ("python",)
+    """Name of the kernel that evaluates the passes, ``'python'``."""
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -251,6 +216,27 @@ def _term_profile(n: int, m: int, r: float) -> tuple[int, int] | None:
     return top_exp2 - math.floor(log2_b), top_exp2
 
 
+def _check_budget(n: int, r: float, prec: int) -> None:
+    """Refuse a residual pass of ``prec`` bits over ``n - 1`` terms that
+    costs more than ``config.MAX_BIT_TERMS``.
+
+    A pass costs its bit-terms, ``prec * (n - 1)``, weighted by
+    ``max(1, prec / config.PRECISION_KNEE)`` because a bit-term grows
+    dearer at high precision.  At ``r = 0`` every term vanishes and the
+    pass costs nothing.
+    """
+    if r == 0.0:
+        return
+    cost = prec * (n - 1) * max(prec, config.PRECISION_KNEE) // config.PRECISION_KNEE
+    if cost > config.MAX_BIT_TERMS:
+        shown = f"{cost:.3g}" if cost < 1e308 else "more than 1e+308"
+        raise ValueError(
+            f"residual of {n} kept modes at r_bar={r} needs a pass of {prec} bits "
+            f"over {n - 1} terms, {shown} bit-terms, above the budget "
+            f"of {config.MAX_BIT_TERMS:.3g}"
+        )
+
+
 def residual_sum(
     n_kept: int,
     n_traced: int,
@@ -266,12 +252,13 @@ def residual_sum(
     precision the cancellation demands.
 
     The cancellation, and with it the cost, grows as about
-    ``n_kept * log2(1 / r_bar)``.  A pass whose precision times its
-    ``n_kept - 1`` terms exceeds ``config.MAX_BIT_TERMS`` (2e7 bit-terms)
-    raises ValueError instead of running.  ``(1000, 0, 0.05)`` is 4.8e6
-    bit-terms and ``(1000, 0, 1e-10)`` 3.4e7; at the predicted precision
-    the dearest call under the budget, near ``(136, 0, 5e-324)``, takes
-    about two minutes on a 2-vCPU Xeon.
+    ``n_kept * log2(1 / r_bar)``.  A pass whose cost (see
+    :func:`_check_budget`) exceeds ``config.MAX_BIT_TERMS`` (2e7 bit-terms)
+    raises ValueError instead of running; a call whose starting precision
+    already does is refused before its terms are profiled.
+    ``(1000, 0, 0.05)`` is 4.8e6 bit-terms and ``(1000, 0, 1e-10)`` 3.4e7;
+    the dearest call under the budget takes about a minute on a 2-vCPU
+    Xeon.
     """
     n = operator.index(n_kept)
     m = operator.index(n_traced)
@@ -283,6 +270,10 @@ def residual_sum(
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"mean squeezing must be finite and >= 0, got {r}")
     prec = config.starting_precision(n, min_precision)
+    # every pass runs at or above the starting precision, or at
+    # MAX_PRECISION where the n - 1 terms are far above the budget anyway,
+    # so a call refused here would be refused at its first pass
+    _check_budget(n, r, prec)
     profile = _term_profile(n, m, r)
     if profile is None:  # r = 0: the pass returns an exact zero
         top_exp2 = 0
@@ -292,14 +283,8 @@ def residual_sum(
         prec = min(config.MAX_PRECISION, max(prec, predicted))
 
     def evaluate(prec: int):
-        # at r = 0 every term vanishes and the pass costs nothing
-        if r and prec * (n - 1) > config.MAX_BIT_TERMS:
-            raise ValueError(
-                f"residual of {n} kept modes at r_bar={r} needs a pass of {prec} bits "
-                f"over {n - 1} terms, {prec * (n - 1):.3g} bit-terms, above the budget "
-                f"of {config.MAX_BIT_TERMS:.3g}"
-            )
-        return _BACKEND.eval_residual(n, m, r, prec, top_exp2=top_exp2)
+        _check_budget(n, r, prec)
+        return pure.eval_residual(n, m, r, prec, top_exp2=top_exp2)
 
     return _escalate(evaluate, n, prec)
 
@@ -323,7 +308,7 @@ def comparison_sum(
     if not (math.isfinite(b) and b > 0.0) or not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"coefficients b, c must be finite and > 0, got {b}, {c}")
     return _escalate(
-        lambda prec: _BACKEND.eval_comparison(n, a, b, c, prec),
+        lambda prec: pure.eval_comparison(n, a, b, c, prec),
         n,
         config.starting_precision(n, min_precision),
     )

@@ -1,15 +1,12 @@
-"""Pure-Python implementation of the alternating-sum kernels.
+"""One fixed-precision pass of each alternating sum, in Python integers
+and :mod:`mpmath`.  The escalation loop lives in the package ``__init__``.
 
-This is the portable backend.  Each function evaluates one fixed-precision
-pass of a sum; the escalation loop lives in the package ``__init__``.
-
-Both backends share a calling convention: they return
-``(value, mantissa, exp2, max_exp2, any_term)`` where ``value`` is the sum
-rounded to the nearest double, ``mantissa * 2**exp2`` is an exponent-exact
-view of the sum (``mantissa`` in ``[0.5, 1)`` up to sign), ``max_exp2``
-bounds the magnitude of the largest term, and ``any_term`` is False when
-every term vanished identically (then the sum is an exact zero rather
-than a cancellation).
+Each pass returns ``(value, mantissa, exp2, max_exp2, any_term)`` where
+``value`` is the sum rounded to the nearest double, ``mantissa * 2**exp2``
+is an exponent-exact view of the sum (``mantissa`` in ``[0.5, 1)`` up to
+sign), ``max_exp2`` bounds the magnitude of the largest term, and
+``any_term`` is False when every term vanished identically (then the sum
+is an exact zero rather than a cancellation).
 
 The residual pass works in fixed point.  The escalation loop accepts a
 pass on an *absolute* error of ``2**(max_exp2 - prec)`` per term, so each

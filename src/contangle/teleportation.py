@@ -47,10 +47,10 @@ def fidelity_from_squeezing(n_parties: int, r_bar: float) -> float:
         ``sqrt(s) / (sqrt(s) + sqrt(n))`` with ``s = n + 2 * (e**(4 r) - 1)``
 
     which returns exactly one half at zero squeezing and is immune to
-    cancellation (``expm1`` keeps small squeezing exact).  Where
-    ``e**(4 r)`` leaves the double range (``r`` above about 177) the same
-    ratio is taken in decaying form, ``1 / (1 + sqrt(n d / ((n - 2) d + 2)))``
-    with ``d = e**(-4 r)``.
+    cancellation (``expm1`` keeps small squeezing exact).  Where ``s``
+    leaves the double range (``r`` above about 177) the same ratio is taken
+    in decaying form, ``1 / (1 + sqrt(n d / ((n - 2) d + 2)))`` with
+    ``d = e**(-4 r)``.
     """
     n = _check_parties(n_parties)
     r = float(r_bar)
@@ -59,6 +59,8 @@ def fidelity_from_squeezing(n_parties: int, r_bar: float) -> float:
     try:
         boosted = n + 2.0 * math.expm1(4.0 * r)
     except OverflowError:
+        boosted = math.inf
+    if boosted == math.inf:  # s past the doubles, whether or not expm1 raised
         decay = math.exp(-4.0 * r)
         return 1.0 / (1.0 + math.sqrt(n * decay / ((n - 2) * decay + 2.0)))
     root = math.sqrt(boosted)

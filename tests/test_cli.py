@@ -93,6 +93,14 @@ def test_residual_huge_squeezing_does_not_overflow():
     assert rec["residual"] > 0
 
 
+def test_fidelity_at_squeezing_past_the_doubles_is_one():
+    # 4 r is inf here; the fidelity still saturates cleanly to 1
+    for command in ("residual", "fidelity"):
+        result = run(command, "--n", "3", "--rbar", "1e308")
+        assert result.exit_code == 0
+        assert "fidelity  1\n" in result.output
+
+
 def test_residual_verbose_huge_squeezing_lists_finite_terms():
     # e**(-4 r) underflows here; the j=0, M=0 term still evaluates
     result = run("residual", "--n", "3", "--rbar", "190", "-v", "--format", "json")
@@ -113,10 +121,12 @@ def test_precision_bits_are_validated():
 
 
 def test_residual_above_the_cost_budget_is_a_usage_error():
-    result = run("residual", "--n", "1000", "--rbar", "5e-324")
-    assert result.exit_code == 2
-    assert "budget" in result.output
-    assert isinstance(result.exception, SystemExit)  # no traceback
+    # the second is refused before its N - 1 terms are profiled
+    for n, rbar in (("1000", "5e-324"), ("99999999999999999999", "0.5")):
+        result = run("residual", "--n", n, "--rbar", rbar)
+        assert result.exit_code == 2
+        assert "budget" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
 
 
 def test_residual_usage_errors():
@@ -224,7 +234,7 @@ def test_out_writes_file(tmp_path):
 def test_verify_suite_passes():
     result = run("verify", "gamma")
     assert result.exit_code == 0
-    assert result.output.startswith("backend: ")
+    assert result.output.startswith("backend: python\n")
     assert "PASS" in result.output
     assert "gamma" in result.output
 

@@ -1,4 +1,4 @@
-"""Extended-precision sum kernels: values, escalation, backends."""
+"""Extended-precision sum kernels: values, escalation, the cost budget."""
 
 from __future__ import annotations
 
@@ -12,12 +12,6 @@ from hypothesis import strategies as st
 
 from contangle import config, kernels
 from contangle.kernels import SumResult, compare, comparison_sum, pure, residual_sum
-
-
-def _native():
-    return pytest.importorskip(
-        "contangle.kernels._sumcore", reason="compiled kernel not built"
-    )
 
 
 # Frozen references: term-by-term mpmath evaluations, 60 significant
@@ -69,7 +63,7 @@ def test_sub_double_magnitudes_survive(monkeypatch):
 def _record_passes(monkeypatch):
     """Log ``(precision, surviving bits)`` of every residual pass."""
     passes = []
-    evaluate = kernels._BACKEND.eval_residual
+    evaluate = pure.eval_residual
 
     def recording(n_kept, n_traced, r_bar, prec, *, top_exp2):
         out = evaluate(n_kept, n_traced, r_bar, prec, top_exp2=top_exp2)
@@ -77,7 +71,7 @@ def _record_passes(monkeypatch):
         passes.append((prec, exp2 - (max_exp2 - prec)))
         return out
 
-    monkeypatch.setattr(kernels._BACKEND, "eval_residual", recording)
+    monkeypatch.setattr(pure, "eval_residual", recording)
     return passes
 
 
@@ -85,7 +79,7 @@ def _generic_start(n, m, r):
     """``residual_sum`` escalated from the generic start, not the predicted one."""
     _, top_exp2 = kernels._term_profile(n, m, r)
     return kernels._escalate(
-        lambda prec: kernels._BACKEND.eval_residual(n, m, r, prec, top_exp2=top_exp2),
+        lambda prec: pure.eval_residual(n, m, r, prec, top_exp2=top_exp2),
         n,
         config.starting_precision(n),
     )
@@ -438,13 +432,55 @@ def test_validation():
         residual_sum(3.5, 0, 0.5)
 
 
-@pytest.mark.parametrize("n,r", [(1000, 5e-324), (1000, 1e-100), (1000, 1e-10)])
-def test_cost_budget_refuses_tiny_squeezing_at_many_modes(monkeypatch, n, r):
-    # 1.07e9, 3.3e8 and 3.4e7 bit-terms: refused before any pass runs
+BUDGET_REFUSALS = [
+    (1000, 5e-324, None),
+    (1000, 1e-100, None),
+    (1000, 1e-10, None),
+    (3, 0.5, 2**20),
+]
+
+
+@pytest.mark.parametrize(
+    "n,r,min_precision",
+    BUDGET_REFUSALS,
+    ids=[f"{n}-{r}" + (f"-{p}" if p else "") for n, r, p in BUDGET_REFUSALS],
+)
+def test_cost_budget_refuses_tiny_squeezing_at_many_modes(monkeypatch, n, r, min_precision):
+    # 1.07e9, 3.3e8 and 3.4e7 bit-terms, and 2.1e6 bit-terms weighted 32x
+    # at 2**20 bits: refused before any pass runs
     passes = _record_passes(monkeypatch)
     with pytest.raises(ValueError, match="budget"):
-        residual_sum(n, 0, r)
+        residual_sum(n, 0, r, min_precision=min_precision)
     assert passes == []
+
+
+def test_cost_budget_is_checked_before_the_profile(monkeypatch):
+    passes = _record_passes(monkeypatch)
+
+    def profile(*args):
+        raise AssertionError("profiled a refused call")
+
+    monkeypatch.setattr(kernels, "_term_profile", profile)
+    with pytest.raises(ValueError, match="budget"):
+        residual_sum(10**7, 0, 0.5)
+    with pytest.raises(ValueError, match="budget"):
+        residual_sum(10**400, 3, 0.5)
+    assert passes == []
+
+
+def test_cost_budget_weighs_precision_above_the_knee(monkeypatch):
+    passes = _record_passes(monkeypatch)
+    expected = residual_sum(10, 0, 0.8)
+    prec = passes[0][0]
+    knee = prec // 3
+    monkeypatch.setattr(config, "PRECISION_KNEE", knee)
+    cost = prec * 9 * prec // knee  # about 3x the bit-terms
+    monkeypatch.setattr(config, "MAX_BIT_TERMS", cost)
+    assert residual_sum(10, 0, 0.8) == expected
+    monkeypatch.setattr(config, "MAX_BIT_TERMS", cost - 1)
+    with pytest.raises(ValueError, match="budget"):
+        residual_sum(10, 0, 0.8)
+    assert len(passes) == 2
 
 
 def test_cost_budget_boundary(monkeypatch):
@@ -465,41 +501,6 @@ def test_heaviest_tested_call_is_well_under_the_budget(monkeypatch):
     residual_sum(1000, 0, 0.05)
     assert [prec * 999 for prec, _ in passes] == [4829166]
     assert 4 * 4829166 < config.MAX_BIT_TERMS
-
-
-@pytest.mark.parametrize(
-    "n,m,r", [(2, 0, 0.37), (3, 0, 0.5), (50, 3, 0.8), (200, 0, 0.4)]
-)
-def test_backends_agree_bit_for_bit(n, m, r):
-    native = _native()
-    prec = config.starting_precision(n)
-    _, top_exp2 = kernels._term_profile(n, m, r)
-    assert pure.eval_residual(n, m, r, prec, top_exp2=top_exp2) == native.eval_residual(
-        n, m, r, prec, top_exp2=top_exp2
-    )
-
-
-def test_comparison_backends_agree():
-    native = _native()
-    for n, a, b, c in [(2, 1.0, 1.0, 2.0), (30, 1.0, 0.5, 2.0), (30, 2.0, 1.0, 1.0)]:
-        prec = config.starting_precision(n)
-        assert pure.eval_comparison(n, a, b, c, prec) == native.eval_comparison(
-            n, a, b, c, prec
-        )
-
-
-def test_backend_resolution():
-    module, name = kernels._resolve("")
-    assert name in ("native", "python")
-    assert kernels._resolve("python") == (pure, "python")
-    with pytest.raises(ValueError):
-        kernels._resolve("bogus")
-    assert kernels.backend_name() in kernels.available_backends()
-
-
-def test_native_backend_resolution():
-    native = _native()
-    assert kernels._resolve("native") == (native, "native")
 
 
 @given(

@@ -106,6 +106,15 @@ def test_fidelity_beyond_the_exponential_range():
     assert fidelity_from_squeezing(n, r) == pytest.approx(float(expected), rel=1e-14)
 
 
+def test_fidelity_saturates_where_the_exponential_is_infinite():
+    # 2 (e**(4 r) - 1) overflows without raising near r = 177.3, and so
+    # does 4 r itself above r ~ 4.5e307; both take the decaying form
+    for r in (177.3, 4.5e307, 1e308):
+        assert fidelity_from_squeezing(3, r) == 1.0
+    with pytest.raises(ValueError, match="saturates"):
+        FidelityPoint.from_squeezing(3, 1e308)
+
+
 def test_residual_from_fidelity_connects_the_two_quantities():
     from contangle.monogamy import SymmetricState, residual_contangle
 
