@@ -8,8 +8,9 @@ residual columns are printed from the exponent-exact result so values far
 below the double range survive the trip through text.
 
 Squeezing can be given directly (``--rbar``) or in decibels (``--db``),
-with ``r_db = (20 / ln 10) * r_bar``.  The environment variable
-``CONTANGLE_PRECISION_BITS`` sets the kernels' minimum working precision.
+with ``r_db = (20 / ln 10) * r_bar``.  ``--precision-bits`` sets the
+kernels' minimum working precision.  JSON output is strict JSON: values
+outside the double range print as exact decimals, never ``inf``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import click
+import mpmath
 
-from . import formulas, monogamy, teleportation, verification
-from .kernels import SumResult, backend_name, residual_sum
+from . import config, formulas, monogamy, teleportation, verification
+from .kernels import SumResult, _bit_terms, backend_name, residual_sum
 
 __all__ = ["OutputRecord", "TermRow", "main"]
 
@@ -44,8 +46,9 @@ class OutputRecord:
     """One evaluated grid point, ready for rendering.
 
     ``fidelity`` is absent (None) when modes were traced out: the fidelity
-    map applies to the pure resource only.  ``r_db`` always equals
-    ``(20 / ln 10) * r_bar``.
+    map applies to the pure resource only.  ``r_db`` is
+    ``(20 / ln 10) * r_bar`` as a double, inf past r_bar ~ 2.07e307; the
+    renderers then print its exact decimal.
     """
 
     n_kept: int
@@ -64,10 +67,20 @@ def _fmt(value: float) -> str:
 def _residual_json_token(res: SumResult) -> str:
     if res.is_zero:
         return "0.0"
-    if res.value != 0.0:
+    if res.value != 0.0 and math.isfinite(res.value):
         return repr(res.value)
-    # magnitude below the double range: decimal form of the exact exponent view
+    # magnitude outside the double range: decimal form of the exact exponent view
     return res.decimal(17)
+
+
+def _r_db_token(rec: OutputRecord, *, json: bool = False) -> str:
+    """``rec.r_db`` as ``.12g`` text, or as its ``repr`` for JSON; where the
+    double overflows, the exact decimal of ``(20 / ln 10) * r_bar``."""
+    if math.isfinite(rec.r_db):
+        return repr(rec.r_db) if json else _fmt(rec.r_db)
+    digits = 17 if json else SIGNIFICANT_DIGITS
+    with mpmath.mp.workdps(digits + 10):
+        return mpmath.nstr(20 * mpmath.mpf(rec.r_bar) / mpmath.ln10, digits)
 
 
 def build_record(
@@ -92,6 +105,14 @@ def build_record(
     )
     terms = None
     if with_terms:
+        # r_bar = 0 is exempt from the kernel's cost budget, but the table
+        # still has n_kept - 1 rows: hold it to the budget of a pass
+        prec = config.starting_precision(n_kept, min_precision)
+        if _bit_terms(n_kept, prec) > config.MAX_BIT_TERMS:
+            raise ValueError(
+                f"a term table of {n_kept - 1} terms at {prec} bits is above "
+                f"the budget of {config.MAX_BIT_TERMS:.3g} bit-terms"
+            )
         terms = tuple(
             TermRow(
                 j=j,
@@ -122,7 +143,7 @@ def render_csv(records: Sequence[OutputRecord]) -> str:
                     str(rec.n_kept),
                     str(rec.n_traced),
                     _fmt(rec.r_bar),
-                    _fmt(rec.r_db),
+                    _r_db_token(rec),
                     rec.residual.decimal(SIGNIFICANT_DIGITS),
                     fidelity,
                 )
@@ -136,7 +157,7 @@ def _record_json(rec: OutputRecord) -> str:
         f'"n_kept": {rec.n_kept}',
         f'"n_traced": {rec.n_traced}',
         f'"r_bar": {rec.r_bar!r}',
-        f'"r_db": {rec.r_db!r}',
+        f'"r_db": {_r_db_token(rec, json=True)}',
         f'"residual": {_residual_json_token(rec.residual)}',
     ]
     if rec.fidelity is not None:
@@ -163,7 +184,7 @@ def render_text(rec: OutputRecord) -> str:
         f"N         {rec.n_kept}",
         f"M         {rec.n_traced}",
         f"r_bar     {_fmt(rec.r_bar)}",
-        f"r_db      {_fmt(rec.r_db)}",
+        f"r_db      {_r_db_token(rec)}",
         f"residual  {rec.residual.decimal(SIGNIFICANT_DIGITS)}",
     ]
     if rec.fidelity is not None:

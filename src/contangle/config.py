@@ -9,13 +9,11 @@ precision rules govern the extended-precision kernels in
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass
 
 __all__ = [
     "Tolerances",
     "TOL",
-    "PRECISION_FLOOR",
     "PRECISION_MARGIN",
     "DOUBLE_BITS",
     "GUARD_BITS",
@@ -23,8 +21,6 @@ __all__ = [
     "MAX_PRECISION",
     "MAX_BIT_TERMS",
     "PRECISION_KNEE",
-    "ENV_PRECISION",
-    "default_min_precision",
     "starting_precision",
     "required_bits",
 ]
@@ -62,8 +58,6 @@ class Tolerances:
 
 TOL = Tolerances()
 
-#: never evaluate an alternating sum below this many bits
-PRECISION_FLOOR = 64
 #: extra bits on top of the term count at the first pass (the binomial
 #: coefficients of an N-term alternating sum cancel up to about N bits;
 #: spare bits are nearly free at low precision and spare most small sums
@@ -100,47 +94,21 @@ MAX_BIT_TERMS = 20_000_000
 #: 32, 28, 32 and 38 s.
 PRECISION_KNEE = 1 << 15
 
-ENV_PRECISION = "CONTANGLE_PRECISION_BITS"
-
-
-def _checked_precision(value, source: str) -> int:
-    """A requested minimum precision: at least 2 bits, capped at the maximum."""
-    value = operator.index(value)
-    if value < 2:
-        raise ValueError(f"{source} must be >= 2, got {value}")
-    return min(value, MAX_PRECISION)
-
-
-def default_min_precision() -> int:
-    """Minimum working precision in bits, overridable via the environment.
-
-    Set ``CONTANGLE_PRECISION_BITS`` to force a higher starting precision
-    for every kernel call (useful when validating the escalation logic or
-    reproducing a scan bit-for-bit).
-    """
-    raw = os.environ.get(ENV_PRECISION)
-    if raw is None:
-        return PRECISION_FLOOR
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{ENV_PRECISION} must be an integer, got {raw!r}"
-        ) from exc
-    return _checked_precision(value, ENV_PRECISION)
-
 
 def starting_precision(n_terms: int, min_precision: int | None = None) -> int:
     """Initial working precision for an alternating sum with *n_terms* terms.
 
-    An explicit *min_precision* (``--precision-bits`` on the command line)
-    replaces the environment floor; it is validated and capped the same way.
+    ``n_terms + PRECISION_MARGIN`` bits, or an explicit *min_precision*
+    (``--precision-bits`` on the command line) where that is more; the
+    explicit floor must be at least 2 bits.  Capped at ``MAX_PRECISION``.
     """
-    if min_precision is None:
-        floor = default_min_precision()
-    else:
-        floor = _checked_precision(min_precision, "min_precision")
-    return max(PRECISION_FLOOR, n_terms + PRECISION_MARGIN, floor)
+    prec = n_terms + PRECISION_MARGIN
+    if min_precision is not None:
+        floor = operator.index(min_precision)
+        if floor < 2:
+            raise ValueError(f"min_precision must be >= 2, got {floor}")
+        prec = max(prec, floor)
+    return min(prec, MAX_PRECISION)
 
 
 def required_bits(n_terms: int) -> int:

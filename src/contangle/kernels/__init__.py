@@ -216,18 +216,25 @@ def _term_profile(n: int, m: int, r: float) -> tuple[int, int] | None:
     return top_exp2 - math.floor(log2_b), top_exp2
 
 
-def _check_budget(n: int, r: float, prec: int) -> None:
-    """Refuse a residual pass of ``prec`` bits over ``n - 1`` terms that
-    costs more than ``config.MAX_BIT_TERMS``.
+def _bit_terms(n: int, prec: int) -> int:
+    """Cost of a residual pass of ``prec`` bits over ``n - 1`` terms.
 
     A pass costs its bit-terms, ``prec * (n - 1)``, weighted by
     ``max(1, prec / config.PRECISION_KNEE)`` because a bit-term grows
-    dearer at high precision.  At ``r = 0`` every term vanishes and the
-    pass costs nothing.
+    dearer at high precision.
+    """
+    return prec * (n - 1) * max(prec, config.PRECISION_KNEE) // config.PRECISION_KNEE
+
+
+def _check_budget(n: int, r: float, prec: int) -> None:
+    """Refuse a residual pass of ``prec`` bits over ``n - 1`` terms that
+    costs more (see :func:`_bit_terms`) than ``config.MAX_BIT_TERMS``.
+
+    At ``r = 0`` every term vanishes and the pass costs nothing.
     """
     if r == 0.0:
         return
-    cost = prec * (n - 1) * max(prec, config.PRECISION_KNEE) // config.PRECISION_KNEE
+    cost = _bit_terms(n, prec)
     if cost > config.MAX_BIT_TERMS:
         shown = f"{cost:.3g}" if cost < 1e308 else "more than 1e+308"
         raise ValueError(
@@ -253,7 +260,7 @@ def residual_sum(
 
     The cancellation, and with it the cost, grows as about
     ``n_kept * log2(1 / r_bar)``.  A pass whose cost (see
-    :func:`_check_budget`) exceeds ``config.MAX_BIT_TERMS`` (2e7 bit-terms)
+    :func:`_bit_terms`) exceeds ``config.MAX_BIT_TERMS`` (2e7 bit-terms)
     raises ValueError instead of running; a call whose starting precision
     already does is refused before its terms are profiled.
     ``(1000, 0, 0.05)`` is 4.8e6 bit-terms and ``(1000, 0, 1e-10)`` 3.4e7;

@@ -20,6 +20,7 @@ and adds the structural machinery around it:
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -405,6 +406,36 @@ class PositivityReport:
         return self.min_result.value
 
 
+#: the axes in grid order, and the names that describe a line's fixed values
+_AXES = ("n_kept", "n_traced", "r_bar")
+_LABELS = ("n", "m", "r_bar")
+
+
+def _lines(
+    axis: str,
+    n_values: Sequence[int],
+    m_values: Sequence[int],
+    r_values: Sequence[float],
+    min_precision: int | None,
+):
+    """Walk the grid in lines along ``axis``, evaluating the residual lazily.
+
+    For each point of the other two axes, in grid order, yields their
+    values and an iterator of ``((n, m, r_bar), residual_sum(n, m, r_bar))``
+    along ``axis``.  Along ``"r_bar"`` the lines cover the grid
+    kept-modes-major, then traced modes, then squeezing.
+    """
+    i = _AXES.index(axis)
+    grid = [list(n_values), list(m_values), list(r_values)]
+    along = grid.pop(i)
+    for fixed in itertools.product(*grid):
+        points = [(*fixed[:i], value, *fixed[i:]) for value in along]
+        yield fixed, (
+            (point, residual_sum(*point, min_precision=min_precision))
+            for point in points
+        )
+
+
 def positivity_scan(
     n_values: Sequence[int],
     m_values: Sequence[int],
@@ -424,15 +455,13 @@ def positivity_scan(
     min_result: SumResult | None = None
     min_point = None
     violations = []
-    for n in n_values:
-        for m in m_values:
-            for r in r_values:
-                res = residual_sum(n, m, r, min_precision=min_precision)
-                points += 1
-                if min_result is None or compare(res, min_result) < 0:
-                    min_result, min_point = res, (n, m, r)
-                if res.value < floor:
-                    violations.append(((n, m, r), res.value))
+    for _, line in _lines("r_bar", n_values, m_values, r_values, min_precision):
+        for point, res in line:
+            points += 1
+            if min_result is None or compare(res, min_result) < 0:
+                min_result, min_point = res, point
+            if res.value < floor:
+                violations.append((point, res.value))
     if min_result is None:
         raise ValueError("empty grid")
     return PositivityReport(
@@ -455,9 +484,6 @@ class MonotonicityReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-
-_AXES = ("r_bar", "n_kept", "n_traced")
 
 
 def monotonicity_scan(
@@ -485,89 +511,38 @@ def monotonicity_scan(
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
     if check_terms and axis != "r_bar":
         raise ValueError("per-layer checks only apply to the r_bar axis")
-
-    def walk(values):
-        if list(values) != sorted(values):
-            raise ValueError(f"{axis} grid must be ascending")
+    i = _AXES.index(axis)
+    along = list((n_values, m_values, r_values)[i])
+    if along != sorted(along):
+        raise ValueError(f"{axis} grid must be ascending")
+    labels = _LABELS[:i] + _LABELS[i + 1 :]
+    strict = axis == "r_bar"
 
     violations = []
     series = 0
     points = 0
-
-    def scan_line(fixed_desc, sweep, evaluate, strict):
-        nonlocal points
-        prev = None
-        prev_key = None
-        for key in sweep:
-            cur = evaluate(key)
-            points += 1
-            if prev is not None:
-                order = compare(cur, prev)
-                bad = order <= 0 if strict else order > 0
-                if bad:
-                    violations.append(
-                        (f"{fixed_desc} {axis}={prev_key}->{key}", prev.value, cur.value)
-                    )
-            prev, prev_key = cur, key
-
-    if axis == "r_bar":
-        walk(r_values)
-        for n in n_values:
-            for m in m_values:
-                series += 1
-                scan_line(
-                    f"n={n} m={m}",
-                    r_values,
-                    lambda r, n=n, m=m: residual_sum(
-                        n, m, r, min_precision=min_precision
-                    ),
-                    strict=True,
+    for fixed, line in _lines(axis, n_values, m_values, r_values, min_precision):
+        series += 1
+        points += len(along)
+        desc = " ".join(f"{label}={value}" for label, value in zip(labels, fixed))
+        for (a, prev), (b, cur) in itertools.pairwise(line):
+            order = compare(cur, prev)
+            if order <= 0 if strict else order > 0:
+                violations.append(
+                    (f"{desc} {axis}={a[i]}->{b[i]}", prev.value, cur.value)
                 )
-                if check_terms and n >= 3:
-                    prev_terms = None
-                    for r in r_values:
-                        decomp = decompose_state(SymmetricState.from_r_bar(n, m, r))
-                        layers = {
-                            k: t.value for k, t in decomp.terms.items()
-                        }
-                        if prev_terms is not None:
-                            for k, value in layers.items():
-                                slack = 1e-10 * max(1.0, abs(prev_terms[k]))
-                                if value < prev_terms[k] - slack:
-                                    violations.append(
-                                        (
-                                            f"n={n} m={m} layer K={k} at r_bar={r}",
-                                            prev_terms[k],
-                                            value,
-                                        )
-                                    )
-                        prev_terms = layers
-    elif axis == "n_kept":
-        walk(list(n_values))
-        for m in m_values:
-            for r in r_values:
-                series += 1
-                scan_line(
-                    f"m={m} r_bar={r}",
-                    n_values,
-                    lambda n, m=m, r=r: residual_sum(
-                        n, m, r, min_precision=min_precision
-                    ),
-                    strict=False,
-                )
-    else:
-        walk(list(m_values))
-        for n in n_values:
-            for r in r_values:
-                series += 1
-                scan_line(
-                    f"n={n} r_bar={r}",
-                    m_values,
-                    lambda m, n=n, r=r: residual_sum(
-                        n, m, r, min_precision=min_precision
-                    ),
-                    strict=False,
-                )
+        if check_terms and fixed[0] >= 3:
+            walk = (
+                (r, decompose_state(SymmetricState.from_r_bar(*fixed, r)).terms)
+                for r in along
+            )
+            for (_, before), (r, after) in itertools.pairwise(walk):
+                for k, term in after.items():
+                    old = before[k].value
+                    if term.value < old - 1e-10 * max(1.0, abs(old)):
+                        violations.append(
+                            (f"{desc} layer K={k} at r_bar={r}", old, term.value)
+                        )
     return MonotonicityReport(
         axis=axis, series=series, points=points, violations=tuple(violations)
     )

@@ -129,6 +129,48 @@ def test_residual_above_the_cost_budget_is_a_usage_error():
         assert isinstance(result.exception, SystemExit)  # no traceback
 
 
+def test_verbose_term_table_is_held_to_the_cost_budget():
+    # r_bar = 0 is exempt from the kernel's budget, but the table still has
+    # N - 1 rows; at N = 15000 its binomials also pass Python's limit on
+    # converting ints to strings
+    for n in ("99999999999999999999", "15000"):
+        result = run("residual", "--n", n, "--rbar", "0", "-v")
+        assert result.exit_code == 2
+        assert "budget" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+    # the same rule as a pass at r_bar > 0: 32,768 bits over N - 1 terms
+    # stay within 2e7 bit-terms up to N = 611
+    wide = ("-v", "--precision-bits", "32768")
+    assert run("residual", "--n", "611", "--rbar", "0", *wide).exit_code == 0
+    assert run("residual", "--n", "612", "--rbar", "0", *wide).exit_code == 2
+    assert run("residual", "--n", "612", "--rbar", "0.5", *wide).exit_code == 2
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_float=Decimal, parse_constant=refuse)
+
+
+def test_json_stays_strict_past_the_doubles():
+    # a plain json.loads would read 4e616 as inf and hide an inf token
+    for args in (
+        ("residual", "--n", "3", "--rbar", "1e200"),
+        ("residual", "--n", "3", "--rbar", "1e308"),
+        ("sweep", "--n", "2:3", "--rbar", "1e308"),
+    ):
+        result = run(*args, "--format", "json")
+        assert result.exit_code == 0
+        for rec in _strict_json(result.output):
+            r_db = 20 * rec["r_bar"] / Decimal(10).ln()
+            assert abs(rec["r_db"] / r_db - 1) < Decimal("1e-15")
+            assert rec["residual"] > Decimal("1e400")
+    text = run("residual", "--n", "3", "--rbar", "1e308")
+    assert "r_db      8.68588963807e+308\n" in text.output
+    assert "inf" not in text.output
+
+
 def test_residual_usage_errors():
     assert run("residual", "--n", "3").exit_code == 2  # no squeezing given
     assert (

@@ -397,14 +397,6 @@ def test_min_precision_floor_is_respected():
     assert result.value == pytest.approx(0.54438524694163870471, rel=1e-15)
 
 
-def test_environment_floor(monkeypatch):
-    monkeypatch.setenv(config.ENV_PRECISION, "300")
-    assert config.starting_precision(3) == 300
-    monkeypatch.setenv(config.ENV_PRECISION, "not-a-number")
-    with pytest.raises(ValueError):
-        config.starting_precision(3)
-
-
 @pytest.mark.parametrize("bits", [1, 0, -64])
 def test_explicit_min_precision_is_validated(bits):
     with pytest.raises(ValueError):
@@ -413,10 +405,16 @@ def test_explicit_min_precision_is_validated(bits):
         residual_sum(3, 0, 0.5, min_precision=bits)
 
 
-def test_explicit_min_precision_is_capped(monkeypatch):
+def test_explicit_min_precision_is_capped():
     assert config.starting_precision(3, 10**9) == config.MAX_PRECISION
-    monkeypatch.setenv(config.ENV_PRECISION, str(10**9))
-    assert config.starting_precision(3) == config.MAX_PRECISION
+
+
+def test_starting_precision_is_capped_at_many_modes():
+    assert config.starting_precision(10**6) == 10**6 + config.PRECISION_MARGIN
+    for n in (10**7, 10**20):
+        assert config.starting_precision(n) == config.MAX_PRECISION
+        result = residual_sum(n, 0, 0.0)
+        assert result.is_zero and result.precision == config.MAX_PRECISION
 
 
 def test_validation():

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from contangle import formulas, monogamy
+from contangle.kernels import SumResult
 from contangle.monogamy import (
     ComparisonSequence,
     MoleculePartition,
@@ -253,6 +255,172 @@ def test_monotonicity_scan_validation():
         monotonicity_scan("r_bar", [3], [0], [0.9, 0.5])
     with pytest.raises(ValueError):
         monotonicity_scan("n_kept", [3], [0], [0.5], check_terms=True)
+
+
+GRID = ([3, 4, 5], [0, 1, 2], [0.5, 0.9, 1.3])
+FLIPPED = {(3, 2, 1.3), (4, 1, 0.9), (5, 0, 1.3)}
+
+
+def rig_residual(monkeypatch, flipped=frozenset()):
+    """Record the scans' ``(n, m, r_bar)`` calls; negate the residual at
+    ``flipped`` points.  Returns the call list and the rigged evaluator."""
+    real = monogamy.residual_sum
+    calls = []
+
+    def value(n, m, r):
+        res = real(n, m, r)
+        if (n, m, r) in flipped:
+            return SumResult(-res.value, -res.mantissa, res.exp2, res.precision)
+        return res
+
+    def rigged(n, m, r, *, min_precision=None):
+        calls.append((n, m, r))
+        return value(n, m, r)
+
+    monkeypatch.setattr(monogamy, "residual_sum", rigged)
+    return calls, value
+
+
+def test_scans_walk_the_grid_line_by_line(monkeypatch):
+    calls, _ = rig_residual(monkeypatch)
+    ns, ms, rs = GRID
+    grid_order = list(itertools.product(ns, ms, rs))
+    positivity_scan(*GRID)
+    assert calls == grid_order
+    expected = {
+        "r_bar": grid_order,
+        "n_kept": [(n, m, r) for m in ms for r in rs for n in ns],
+        "n_traced": [(n, m, r) for n in ns for r in rs for m in ms],
+    }
+    for axis, order in expected.items():
+        calls.clear()
+        report = monotonicity_scan(axis, *GRID)
+        assert calls == order
+        assert (report.series, report.points) == (9, 27)
+        assert report.passed
+
+
+def test_positivity_scan_reports_negative_points_in_grid_order(monkeypatch):
+    _, value = rig_residual(monkeypatch, FLIPPED)
+    report = positivity_scan(*GRID)
+    assert report.points == 27
+    assert not report.passed
+    assert report.violations == tuple(
+        (p, value(*p).value) for p in [(3, 2, 1.3), (4, 1, 0.9), (5, 0, 1.3)]
+    )
+    # the largest of the flipped residuals is the most negative
+    assert report.min_point == (5, 0, 1.3)
+    assert report.min_result == value(5, 0, 1.3)
+
+
+@pytest.mark.parametrize(
+    "axis, broken",
+    [
+        (
+            "r_bar",
+            [
+                ("n=3 m=2 r_bar=0.9->1.3", (3, 2, 0.9), (3, 2, 1.3)),
+                ("n=4 m=1 r_bar=0.5->0.9", (4, 1, 0.5), (4, 1, 0.9)),
+                ("n=5 m=0 r_bar=0.9->1.3", (5, 0, 0.9), (5, 0, 1.3)),
+            ],
+        ),
+        (
+            "n_kept",
+            [
+                ("m=1 r_bar=0.9 n_kept=4->5", (4, 1, 0.9), (5, 1, 0.9)),
+                ("m=2 r_bar=1.3 n_kept=3->4", (3, 2, 1.3), (4, 2, 1.3)),
+            ],
+        ),
+        (
+            "n_traced",
+            [
+                ("n=4 r_bar=0.9 n_traced=1->2", (4, 1, 0.9), (4, 2, 0.9)),
+                ("n=5 r_bar=1.3 n_traced=0->1", (5, 0, 1.3), (5, 1, 1.3)),
+            ],
+        ),
+    ],
+)
+def test_monotonicity_scan_reports_each_broken_step(monkeypatch, axis, broken):
+    _, value = rig_residual(monkeypatch, FLIPPED)
+    report = monotonicity_scan(axis, *GRID)
+    assert (report.axis, report.series, report.points) == (axis, 9, 27)
+    assert report.violations == tuple(
+        (desc, value(*before).value, value(*after).value)
+        for desc, before, after in broken
+    )
+
+
+def test_monotonicity_layer_check_follows_each_squeezing_line(monkeypatch):
+    _, value = rig_residual(monkeypatch, FLIPPED)
+    real_decompose = monogamy.decompose_state
+
+    def layers(n, m, r):
+        return {k: t.value for k, t in real_decompose(state(n, m, r)).terms.items()}
+
+    def rigged(s):
+        decomp = real_decompose(s)
+        if (s.kept, s.traced, s.r_bar) != (3, 2, 0.9):
+            return decomp
+        negated = {
+            k: monogamy.DecompositionTerm(t.multiplicity, -t.value)
+            for k, t in decomp.terms.items()
+        }
+        return monogamy.Decomposition(
+            decomp.probe,
+            decomp.n_parties,
+            negated,
+            decomp.bipartite_total,
+            decomp.weak_residual,
+            decomp.strong_residual,
+        )
+
+    monkeypatch.setattr(monogamy, "decompose_state", rigged)
+    report = monotonicity_scan("r_bar", *GRID, check_terms=True)
+    assert (report.series, report.points) == (9, 27)
+
+    def step(desc, before, after):
+        return desc, value(*before).value, value(*after).value
+
+    # each squeezing line's layer walk follows its residual steps
+    below, above = layers(3, 2, 0.5), layers(3, 2, 0.9)
+    assert report.violations == (
+        step("n=3 m=2 r_bar=0.9->1.3", (3, 2, 0.9), (3, 2, 1.3)),
+        *((f"n=3 m=2 layer K={k} at r_bar=0.9", below[k], -above[k]) for k in (2, 3)),
+        step("n=4 m=1 r_bar=0.5->0.9", (4, 1, 0.5), (4, 1, 0.9)),
+        step("n=5 m=0 r_bar=0.9->1.3", (5, 0, 0.9), (5, 0, 1.3)),
+    )
+
+
+def test_scans_over_a_repeated_value(monkeypatch):
+    calls, value = rig_residual(monkeypatch)
+    report = positivity_scan([3, 3], [0], [0.5, 0.5])
+    assert calls == [(3, 0, 0.5)] * 4
+    assert (report.points, report.min_point, report.passed) == (4, (3, 0, 0.5), True)
+    # equal neighbours break a strict rise, not a nonincreasing fall
+    same = value(3, 0, 0.5).value
+    rising = monotonicity_scan("r_bar", [3, 3], [0], [0.5, 0.5])
+    assert (rising.series, rising.points) == (2, 4)
+    assert rising.violations == (("n=3 m=0 r_bar=0.5->0.5", same, same),) * 2
+    falling = monotonicity_scan("n_kept", [3, 3], [0], [0.5, 0.5])
+    assert (falling.series, falling.points, falling.passed) == (2, 4, True)
+
+
+def test_scans_over_an_empty_axis(monkeypatch):
+    calls, _ = rig_residual(monkeypatch)
+    with pytest.raises(ValueError, match="empty grid"):
+        positivity_scan([3, 4], [], [0.5])
+    # an empty scanned axis leaves its lines empty; an empty fixed axis
+    # leaves no lines
+    assert monotonicity_scan("r_bar", [3, 4], [0, 1, 2], []) == monogamy.MonotonicityReport(
+        "r_bar", 6, 0, ()
+    )
+    assert monotonicity_scan("n_kept", [], [0, 1], [0.5]) == monogamy.MonotonicityReport(
+        "n_kept", 2, 0, ()
+    )
+    assert monotonicity_scan("n_traced", [3], [0, 1], []) == monogamy.MonotonicityReport(
+        "n_traced", 0, 0, ()
+    )
+    assert calls == []
 
 
 def test_traced_modes_frozen_sequence():
